@@ -21,6 +21,8 @@ type t = {
   mutable fault : Kite_fault.Fault.t option;
   mutable impair : Kite_net.Impair.t option;
   mutable held : Bytes.t option;
+  rx_count : Metrics.cell;
+  tx_count : Metrics.cell;
 }
 
 let name t = t.name
@@ -32,7 +34,7 @@ let serialization_delay t len =
 let receive t frame =
   t.rx_packets <- t.rx_packets + 1;
   t.rx_bytes <- t.rx_bytes + Bytes.length frame;
-  Metrics.incr t.metrics ("nic." ^ t.name ^ ".rx");
+  Metrics.bump t.rx_count 1;
   match t.rx_handler with Some f -> f frame | None -> ()
 
 let transmitter t () =
@@ -43,7 +45,7 @@ let transmitter t () =
     Process.sleep (serialization_delay t len + t.per_packet);
     t.tx_packets <- t.tx_packets + 1;
     t.tx_bytes <- t.tx_bytes + len;
-    Metrics.incr t.metrics ("nic." ^ t.name ^ ".tx");
+    Metrics.bump t.tx_count 1;
     (match t.peer with
     | Some peer -> (
         let deliver extra frame =
@@ -95,6 +97,8 @@ let create sched metrics ~name ?(line_rate_gbps = 10.0)
       fault = None;
       impair = None;
       held = None;
+      rx_count = Metrics.counter_cell metrics ("nic." ^ name ^ ".rx");
+      tx_count = Metrics.counter_cell metrics ("nic." ^ name ^ ".tx");
     }
   in
   Process.spawn sched ~daemon:true ~name:("nic-" ^ name ^ "-tx")

@@ -19,7 +19,6 @@ type command = {
 type t = {
   name : string;
   sched : Process.sched;
-  metrics : Metrics.t;
   capacity_sectors : int;
   read_base : Time.span;
   write_base : Time.span;
@@ -36,6 +35,9 @@ type t = {
   mutable bytes_read : int;
   mutable bytes_written : int;
   mutable fault : Kite_fault.Fault.t option;
+  read_count : Metrics.cell;
+  write_count : Metrics.cell;
+  flush_count : Metrics.cell;
 }
 
 let name t = t.name
@@ -83,16 +85,16 @@ let worker t () =
         do_read t cmd.sector (cmd.len / sector_size) cmd.data;
         t.reads <- t.reads + 1;
         t.bytes_read <- t.bytes_read + cmd.len;
-        Metrics.incr t.metrics ("nvme." ^ t.name ^ ".read")
+        Metrics.bump t.read_count 1
     | Write ->
         serve_io t t.write_base cmd.len;
         do_write t cmd.sector cmd.data;
         t.writes <- t.writes + 1;
         t.bytes_written <- t.bytes_written + cmd.len;
-        Metrics.incr t.metrics ("nvme." ^ t.name ^ ".write")
+        Metrics.bump t.write_count 1
     | Flush ->
         Process.sleep t.write_base;
-        Metrics.incr t.metrics ("nvme." ^ t.name ^ ".flush"));
+        Metrics.bump t.flush_count 1);
     cmd.completed <- true;
     Condition.broadcast cmd.done_;
     loop ()
@@ -106,7 +108,6 @@ let create sched metrics ~name ?(capacity_sectors = 976_773_168)
     {
       name;
       sched;
-      metrics;
       capacity_sectors;
       read_base;
       write_base;
@@ -120,6 +121,9 @@ let create sched metrics ~name ?(capacity_sectors = 976_773_168)
       bytes_read = 0;
       bytes_written = 0;
       fault = None;
+      read_count = Metrics.counter_cell metrics ("nvme." ^ name ^ ".read");
+      write_count = Metrics.counter_cell metrics ("nvme." ^ name ^ ".write");
+      flush_count = Metrics.counter_cell metrics ("nvme." ^ name ^ ".flush");
     }
   in
   for i = 1 to queue_depth do

@@ -16,16 +16,26 @@ let set_u32 b i v =
   set_u16 b i (Int32.to_int (Int32.shift_right_logical v 16) land 0xffff);
   set_u16 b (i + 2) (Int32.to_int v land 0xffff)
 
+(* One's-complement partial sum of the range as big-endian 16-bit words
+   (a trailing odd byte is the high half of a zero-padded word), read
+   32 bits at a time: adding a word's two halves gives the same sum as
+   two 16-bit reads. *)
 let sum_range acc b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Wire.checksum: range out of bounds";
   let acc = ref acc in
   let i = ref off in
-  let remaining = ref len in
-  while !remaining >= 2 do
-    acc := !acc + get_u16 b !i;
-    i := !i + 2;
-    remaining := !remaining - 2
+  let words_end = off + (len land lnot 3) in
+  while !i < words_end do
+    let w = Int32.to_int (Bytes.get_int32_be b !i) land 0xffff_ffff in
+    acc := !acc + (w lsr 16) + (w land 0xffff);
+    i := !i + 4
   done;
-  if !remaining = 1 then acc := !acc + (get_u8 b !i lsl 8);
+  if len land 2 <> 0 then begin
+    acc := !acc + Bytes.get_uint16_be b !i;
+    i := !i + 2
+  end;
+  if len land 1 <> 0 then acc := !acc + (Bytes.get_uint8 b !i lsl 8);
   !acc
 
 let fold_carries acc =

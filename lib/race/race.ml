@@ -159,7 +159,7 @@ let atomicity_violations t = t.atomicity
 
 let scope : t option ref = ref None
 
-let active () = !scope <> None
+let active () = match !scope with None -> false | Some _ -> true
 
 let cur t = match t.cur with Some p -> p | None -> t.main
 

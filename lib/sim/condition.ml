@@ -1,6 +1,11 @@
 type waiter = { mutable live : bool; resume : unit -> unit }
 
-type t = { q : waiter Queue.t; label : string option; chan : string }
+type t = {
+  q : waiter Queue.t;
+  label : string option;
+  id : int;
+  mutable chan : string option;  (* built when a race detector first asks *)
+}
 
 (* Unique per condition so race-detector channels never collide; the
    counter is global state but only names channels, so determinism is
@@ -10,19 +15,32 @@ let next_id = ref 0
 let create ?label () =
   let id = !next_id in
   incr next_id;
-  let chan =
-    match label with
-    | Some l -> Printf.sprintf "cond:%d:%s" id l
-    | None -> Printf.sprintf "cond:%d" id
-  in
-  { q = Queue.create (); label; chan }
+  { q = Queue.create (); label; id; chan = None }
+
+let chan t =
+  match t.chan with
+  | Some c -> c
+  | None ->
+      let c =
+        match t.label with
+        | Some l -> Printf.sprintf "cond:%d:%s" t.id l
+        | None -> Printf.sprintf "cond:%d" t.id
+      in
+      t.chan <- Some c;
+      c
+
+let release t =
+  if Kite_race.Race.active () then Kite_race.Race.scoped_release ~chan:(chan t)
+
+let acquire t =
+  if Kite_race.Race.active () then Kite_race.Race.scoped_acquire ~chan:(chan t)
 
 let wait t =
   Process.suspend ?label:t.label (fun _eng resume ->
       Queue.push { live = true; resume } t.q);
   (* Signal-to-wake happens-before edge: the woken process is ordered
      after everything the signaller (or broadcaster) published. *)
-  Kite_race.Race.scoped_acquire ~chan:t.chan
+  acquire t
 
 let timed_wait t span =
   let outcome = ref `Timeout in
@@ -56,7 +74,7 @@ let timed_wait t span =
       Queue.push w t.q);
   (* A timeout establishes no ordering: only an actual signal carries the
      signaller's clock to the woken process. *)
-  if !outcome = `Signaled then Kite_race.Race.scoped_acquire ~chan:t.chan;
+  if !outcome = `Signaled then acquire t;
   !outcome
 
 let rec wake_one t =
@@ -73,11 +91,11 @@ let signal t =
   (* Release even with no waiter queued: a process that starts waiting
      later is still ordered after state published before this signal
      (the next signal re-releases a superset clock anyway). *)
-  Kite_race.Race.scoped_release ~chan:t.chan;
+  release t;
   wake_one t
 
 let broadcast t =
-  Kite_race.Race.scoped_release ~chan:t.chan;
+  release t;
   (* Snapshot: processes woken by this broadcast that immediately re-wait
      must not be woken again by the same call. *)
   let n = Queue.length t.q in

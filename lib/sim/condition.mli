@@ -24,3 +24,9 @@ val broadcast : t -> unit
 
 val waiters : t -> int
 (** Number of processes currently blocked. *)
+
+val chan : t -> string
+(** The race detector's release/acquire channel for this condition:
+    ["cond:<id>:<label>"], or ["cond:<id>"] without a label, where [id]
+    numbers conditions in creation order.  Built on first use, so
+    conditions that never meet a live detector never format it. *)

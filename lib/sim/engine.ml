@@ -12,10 +12,13 @@ type t = {
   explore : Rng.t option;
 }
 
+(* Fills the heap's unused value slots; never fired. *)
+let no_event = { cancelled = true; thunk = ignore }
+
 let create ?schedule_seed () =
   {
     clock = Time.zero;
-    queue = Heap.create ();
+    queue = Heap.create ~dummy:no_event;
     explore = Option.map Rng.create schedule_seed;
   }
 
@@ -38,22 +41,24 @@ let schedule_after t span f = schedule_at t (t.clock + span) f
 let cancel h = h.cancelled <- true
 let cancelled h = h.cancelled
 
+(* Read the key before popping: neither call allocates, so an event
+   costs the queue nothing beyond its handle. *)
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (when_, h) ->
-      t.clock <- when_;
-      if not h.cancelled then h.thunk ();
-      true
+  let q = t.queue in
+  if Heap.is_empty q then false
+  else begin
+    t.clock <- Heap.top_key q;
+    let h = Heap.pop q in
+    if not h.cancelled then h.thunk ();
+    true
+  end
 
 let run t = while step t do () done
 
 let run_until t limit =
-  let continue = ref true in
-  while !continue do
-    match Heap.min_key t.queue with
-    | Some k when k <= limit -> ignore (step t)
-    | Some _ | None -> continue := false
+  let q = t.queue in
+  while (not (Heap.is_empty q)) && Heap.top_key q <= limit do
+    ignore (step t)
   done;
   if t.clock < limit then t.clock <- limit
 

@@ -5,82 +5,129 @@
    is unique per entry, equal (key, prio) pairs always pop in insertion
    order, so two runs performing identical insertions replay byte-for-
    byte — the property schedule-seed sweeps rely on to reproduce an
-   interleaving from its seed alone. *)
+   interleaving from its seed alone.
 
-type 'a entry = { key : int; prio : int; seq : int; value : 'a }
+   Layout is struct-of-arrays: slot [i] of the heap is
+   ([keys.(i)], [prios.(i)], [seqs.(i)], [vals.(i)]).  The three order
+   fields live unboxed in [int array]s, so [add] and [pop] allocate
+   nothing beyond the occasional capacity doubling.  Slots at or past
+   [len] hold [dummy], never a popped value, so the heap keeps nothing
+   reachable that it no longer contains. *)
 
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable keys : int array;
+  mutable prios : int array;
+  mutable seqs : int array;
+  mutable vals : 'a array;
   mutable len : int;
   mutable next_seq : int;
+  dummy : 'a;
 }
 
-let create () = { data = [||]; len = 0; next_seq = 0 }
+let create ~dummy =
+  {
+    keys = [||];
+    prios = [||];
+    seqs = [||];
+    vals = [||];
+    len = 0;
+    next_seq = 0;
+    dummy;
+  }
 
 let is_empty h = h.len = 0
 let size h = h.len
 
-let less a b =
-  a.key < b.key
-  || (a.key = b.key
-     && (a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)))
+(* Whether slot [i] orders strictly before the entry (k, p, s). *)
+let[@inline] before h i k p s =
+  let ki = h.keys.(i) in
+  ki < k
+  || ki = k
+     &&
+     let pi = h.prios.(i) in
+     pi < p || (pi = p && h.seqs.(i) < s)
+
+let[@inline] move h ~src ~dst =
+  h.keys.(dst) <- h.keys.(src);
+  h.prios.(dst) <- h.prios.(src);
+  h.seqs.(dst) <- h.seqs.(src);
+  h.vals.(dst) <- h.vals.(src)
+
+let[@inline] place h i k p s v =
+  h.keys.(i) <- k;
+  h.prios.(i) <- p;
+  h.seqs.(i) <- s;
+  h.vals.(i) <- v
 
 let grow h =
-  let cap = Array.length h.data in
-  let ncap = if cap = 0 then 16 else cap * 2 in
-  (* The dummy cell is never read: [len] guards all accesses. *)
-  let dummy = h.data.(0) in
-  let ndata = Array.make ncap dummy in
-  Array.blit h.data 0 ndata 0 h.len;
-  h.data <- ndata
+  let cap = max 16 (2 * Array.length h.keys) in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 h.len;
+    b
+  in
+  h.keys <- extend h.keys 0;
+  h.prios <- extend h.prios 0;
+  h.seqs <- extend h.seqs 0;
+  h.vals <- extend h.vals h.dummy
 
-let add h ~key ?(prio = 0) value =
-  let e = { key; prio; seq = h.next_seq; value } in
-  h.next_seq <- h.next_seq + 1;
-  if h.len = 0 && Array.length h.data = 0 then h.data <- Array.make 16 e
-  else if h.len = Array.length h.data then grow h;
-  h.data.(h.len) <- e;
+let add h ~key ?(prio = 0) v =
+  if h.len = Array.length h.keys then grow h;
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  (* Sift up: shift parents that order after the new entry down into
+     the hole, then fill the hole once. *)
+  let i = ref h.len in
   h.len <- h.len + 1;
-  (* Sift up. *)
-  let i = ref (h.len - 1) in
   while
     !i > 0
     &&
     let parent = (!i - 1) / 2 in
-    less h.data.(!i) h.data.(parent)
+    not (before h parent key prio seq)
   do
     let parent = (!i - 1) / 2 in
-    let tmp = h.data.(parent) in
-    h.data.(parent) <- h.data.(!i);
-    h.data.(!i) <- tmp;
+    move h ~src:parent ~dst:!i;
     i := parent
-  done
+  done;
+  place h !i key prio seq v
 
-let min_key h = if h.len = 0 then None else Some h.data.(0).key
+let top_key h =
+  if h.len = 0 then invalid_arg "Heap.top_key: empty heap";
+  h.keys.(0)
 
 let pop h =
-  if h.len = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.data.(0) <- h.data.(h.len);
-      (* Sift down. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && less h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.len && less h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.data.(!smallest) in
-          h.data.(!smallest) <- h.data.(!i);
-          h.data.(!i) <- tmp;
-          i := !smallest
+  if h.len = 0 then invalid_arg "Heap.pop: empty heap";
+  let top = h.vals.(0) in
+  let last = h.len - 1 in
+  h.len <- last;
+  if last > 0 then begin
+    (* Sift the last entry down from the root: promote the smaller
+       child into the hole while it orders before that entry. *)
+    let k = h.keys.(last)
+    and p = h.prios.(last)
+    and s = h.seqs.(last)
+    and v = h.vals.(last) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= last then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < last
+             && before h r h.keys.(l) h.prios.(l) h.seqs.(l)
+          then r
+          else l
+        in
+        if before h c k p s then begin
+          move h ~src:c ~dst:!i;
+          i := c
         end
         else continue := false
-      done
-    end;
-    Some (top.key, top.value)
-  end
+      end
+    done;
+    place h !i k p s v
+  end;
+  h.vals.(last) <- h.dummy;
+  top

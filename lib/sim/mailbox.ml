@@ -1,28 +1,50 @@
-type 'a t = { q : 'a Queue.t; nonempty : Condition.t; chan : string }
+type 'a t = {
+  q : 'a Queue.t;
+  nonempty : Condition.t;
+  label : string option;
+  id : int;
+  mutable chan : string option;  (* built when a race detector first asks *)
+}
 
 let next_id = ref 0
 
 let create ?label () =
   let id = !next_id in
   incr next_id;
-  let chan =
-    match label with
-    | Some l -> Printf.sprintf "mbox:%d:%s" id l
-    | None -> Printf.sprintf "mbox:%d" id
-  in
-  { q = Queue.create (); nonempty = Condition.create ?label (); chan }
+  {
+    q = Queue.create ();
+    nonempty = Condition.create ?label ();
+    label;
+    id;
+    chan = None;
+  }
+
+let chan t =
+  match t.chan with
+  | Some c -> c
+  | None ->
+      let c =
+        match t.label with
+        | Some l -> Printf.sprintf "mbox:%d:%s" t.id l
+        | None -> Printf.sprintf "mbox:%d" t.id
+      in
+      t.chan <- Some c;
+      c
+
+let acquire t =
+  if Kite_race.Race.active () then Kite_race.Race.scoped_acquire ~chan:(chan t)
 
 let send t v =
   (* Send-to-receive happens-before edge: whoever dequeues this message
      is ordered after everything the sender published before sending. *)
-  Kite_race.Race.scoped_release ~chan:t.chan;
+  if Kite_race.Race.active () then Kite_race.Race.scoped_release ~chan:(chan t);
   Queue.push v t.q;
   Condition.signal t.nonempty
 
 let rec recv t =
   match Queue.take_opt t.q with
   | Some v ->
-      Kite_race.Race.scoped_acquire ~chan:t.chan;
+      acquire t;
       v
   | None ->
       Condition.wait t.nonempty;
@@ -31,7 +53,7 @@ let rec recv t =
 let rec recv_timeout t span =
   match Queue.take_opt t.q with
   | Some v ->
-      Kite_race.Race.scoped_acquire ~chan:t.chan;
+      acquire t;
       Some v
   | None -> (
       match Condition.timed_wait t.nonempty span with
@@ -47,7 +69,7 @@ let rec recv_timeout t span =
 and recv_now t =
   match Queue.take_opt t.q with
   | Some v ->
-      Kite_race.Race.scoped_acquire ~chan:t.chan;
+      acquire t;
       Some v
   | None -> None
 

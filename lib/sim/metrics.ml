@@ -2,6 +2,7 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
   busy : (string, int ref) Hashtbl.t;
   series : (string, float list ref) Hashtbl.t;
+  mutable epoch : int;  (* bumped by [reset]: resolved cells go stale *)
 }
 
 let create () =
@@ -9,6 +10,7 @@ let create () =
     counters = Hashtbl.create 64;
     busy = Hashtbl.create 16;
     series = Hashtbl.create 16;
+    epoch = 0;
   }
 
 let cell tbl name =
@@ -24,6 +26,34 @@ let add t name n =
   r := !r + n
 
 let incr t name = add t name 1
+
+(* A pre-named counter or busy-time slot.  The table entry is looked up
+   (and created) at the first [bump], exactly where [add]/[add_busy]
+   would have created it, then cached until the next [reset]. *)
+type cell = {
+  owner : t;
+  table : (string, int ref) Hashtbl.t;
+  key : string;
+  mutable resolved_in : int;  (* owner epoch of [slot]; -1 before use *)
+  mutable slot : int ref;
+}
+
+(* Placeholder slot of a cell not yet bumped; never written, since the
+   epoch check resolves the real slot first. *)
+let unresolved = ref 0
+
+let make_cell t table key =
+  { owner = t; table; key; resolved_in = -1; slot = unresolved }
+
+let counter_cell t name = make_cell t t.counters name
+let busy_cell t name = make_cell t t.busy name
+
+let bump c n =
+  if c.resolved_in <> c.owner.epoch then begin
+    c.slot <- cell c.table c.key;
+    c.resolved_in <- c.owner.epoch
+  end;
+  c.slot := !(c.slot) + n
 
 let count t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -90,6 +120,7 @@ let busy_names t = sorted_keys t.busy
 let series_names t = sorted_keys t.series
 
 let reset t =
+  t.epoch <- t.epoch + 1;
   Hashtbl.reset t.counters;
   Hashtbl.reset t.busy;
   Hashtbl.reset t.series

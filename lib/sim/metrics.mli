@@ -16,6 +16,24 @@ val count : t -> string -> int
 val add_busy : t -> string -> Time.span -> unit
 (** Record that the named resource was busy for the span. *)
 
+type cell
+(** A counter or busy-time slot named once, for hot paths that would
+    otherwise build and hash the same name on every update. *)
+
+val counter_cell : t -> string -> cell
+(** [counter_cell t name] names the counter [name] without creating it.
+    [bump c n] then behaves as [add t name n]. *)
+
+val busy_cell : t -> string -> cell
+(** [busy_cell t name] names the busy-time resource [name] without
+    creating it.  [bump c span] then behaves as [add_busy t name span]. *)
+
+val bump : cell -> int -> unit
+(** Add to the cell's counter or busy time.  The named entry appears in
+    {!names}/{!busy_names} at the first [bump], as with {!add} and
+    {!add_busy}; later bumps skip the name lookup.  Cells stay valid
+    across {!reset}, after which the next [bump] re-creates the entry. *)
+
 val busy : t -> string -> Time.span
 
 val utilization : t -> string -> total:Time.span -> float

@@ -67,6 +67,13 @@ let spawn t ?(daemon = false) ~name body =
   | Some tr ->
       Kite_trace.Trace.proc_spawned tr ~at:(Engine.now t.engine) ~name ~daemon
   | None -> ());
+  (* Building the block-kind variant allocates, so only do it for an
+     observer that reads it. *)
+  let observed () =
+    match (t.check, t.race, t.trace) with
+    | None, None, None -> false
+    | _ -> true
+  in
   let blocked kind =
     (match t.check with
     | Some c ->
@@ -87,7 +94,7 @@ let spawn t ?(daemon = false) ~name body =
   in
   (* Wrap every engine-queue (re-)entry of the process so the observers
      know which process events are attributed to. *)
-  let step f () =
+  let enter f =
     match (t.check, t.trace, t.race, t.path) with
     | None, None, None, None -> f ()
     | check, trace, race, path ->
@@ -130,6 +137,13 @@ let spawn t ?(daemon = false) ~name body =
     | Some tr -> Kite_trace.Trace.proc_exited tr ~at:(Engine.now t.engine) ~name
     | None -> ()
   in
+  (* The one closure a blocked process costs the event queue: resume [k]
+     under the observers' process attribution. *)
+  let wake k () =
+    match (t.check, t.trace, t.race, t.path) with
+    | None, None, None, None -> Effect.Deep.continue k ()
+    | _ -> enter (fun () -> Effect.Deep.continue k ())
+  in
   let run () =
     let open Effect.Deep in
     match_with body ()
@@ -149,21 +163,17 @@ let spawn t ?(daemon = false) ~name body =
             | Sleep span ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    blocked (`Sleep span);
-                    ignore
-                      (Engine.schedule_after t.engine span
-                         (step (fun () -> continue k ()))))
+                    if observed () then blocked (`Sleep span);
+                    ignore (Engine.schedule_after t.engine span (wake k)))
             | Yield ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    blocked `Yield;
-                    ignore
-                      (Engine.schedule_after t.engine 0
-                         (step (fun () -> continue k ()))))
+                    if observed () then blocked `Yield;
+                    ignore (Engine.schedule_after t.engine 0 (wake k)))
             | Suspend (label, register) ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    blocked (`Suspend label);
+                    if observed () then blocked (`Suspend label);
                     (* [resume] re-enters through the event queue so that a
                        waker always finishes its step before the woken
                        process runs. *)
@@ -172,12 +182,10 @@ let spawn t ?(daemon = false) ~name body =
                       if !resumed then
                         invalid_arg "Process: double resume of a suspension";
                       resumed := true;
-                      ignore
-                        (Engine.schedule_after t.engine 0
-                           (step (fun () -> continue k ())))
+                      ignore (Engine.schedule_after t.engine 0 (wake k))
                     in
                     register t.engine resume)
             | _ -> None);
       }
   in
-  ignore (Engine.schedule_after t.engine 0 (step run))
+  ignore (Engine.schedule_after t.engine 0 (fun () -> enter run))

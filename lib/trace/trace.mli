@@ -76,7 +76,7 @@ val proc_exited : t -> at:int -> name:string -> unit
 (** {1 Hypervisor hooks} *)
 
 val charge : t -> at:int -> domain:string -> op:string -> cost:int -> unit
-(** A charged operation ([op] as passed to [Hypervisor.charge], e.g.
+(** A charged operation ([op] as charged by [Hypervisor.hypercall], e.g.
     ["hypercall.grant_copy"]); [cost] is its simulated service time in ns.
     Operations named ["hypercall.*"] also feed the exact per-domain
     hypercall profile. *)

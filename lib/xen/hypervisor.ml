@@ -1,5 +1,19 @@
 open Kite_sim
 
+(* One hypercall name's accounting, resolved once per domain: its
+   ["hypercall.<name>"] counter and that name as the trace op. *)
+type call = { name : string; op : string; count : Metrics.cell }
+
+(* A domain's accounting, resolved at its first charge: the busy-time
+   cell behind ["vcpu.<name>"], its per-vCPU occupancy cursors (made at
+   the first non-empty occupancy) and one [call] per hypercall name it
+   has made.  Metric entries still appear at their first update. *)
+type account = {
+  busy : Metrics.cell;
+  mutable cursors : Time.t array;
+  mutable calls : call list;
+}
+
 type t = {
   engine : Engine.t;
   sched : Process.sched;
@@ -12,9 +26,8 @@ type t = {
   mutable trace : Kite_trace.Trace.t option;
   mutable mreg : Kite_metrics.Registry.t option;
   mutable path : Kite_path.Path.t option;
-  (* Per-domain per-vCPU occupancy cursors: concurrent work contends for
-     the domain's vCPUs. *)
-  cpu_free_at : (int, Time.t array) Hashtbl.t;
+  (* Per-domain accounting, indexed by domain id. *)
+  mutable accounts : account option array;
 }
 
 let create ?(costs = Costs.default) ?(seed = 1) ?schedule_seed () =
@@ -34,7 +47,7 @@ let create ?(costs = Costs.default) ?(seed = 1) ?schedule_seed () =
     trace = None;
     mreg = None;
     path = None;
-    cpu_free_at = Hashtbl.create 8;
+    accounts = [||];
   }
 
 let engine t = t.engine
@@ -107,27 +120,55 @@ let find_domain t id =
 let spawn t dom ?daemon ~name body =
   Process.spawn t.sched ?daemon ~name:(dom.Domain.name ^ "/" ^ name) body
 
+let account t dom =
+  let id = dom.Domain.id in
+  if id >= Array.length t.accounts then begin
+    let a = Array.make (max 8 (2 * (id + 1))) None in
+    Array.blit t.accounts 0 a 0 (Array.length t.accounts);
+    t.accounts <- a
+  end;
+  match t.accounts.(id) with
+  | Some a -> a
+  | None ->
+      let a =
+        {
+          busy = Metrics.busy_cell t.metrics ("vcpu." ^ dom.Domain.name);
+          cursors = [||];
+          calls = [];
+        }
+      in
+      t.accounts.(id) <- Some a;
+      a
+
+let call t a name =
+  let rec find = function
+    | c :: rest -> if String.equal c.name name then c else find rest
+    | [] ->
+        let op = "hypercall." ^ name in
+        let c = { name; op; count = Metrics.counter_cell t.metrics op } in
+        a.calls <- c :: a.calls;
+        c
+  in
+  find a.calls
+
 (* Occupy the domain's vCPU for [span].  Domains with one vCPU contend:
    concurrent work queues behind the cursor.  Multi-vCPU domains are
    approximated as uncontended (the evaluation's DomU has 22 vCPUs and is
    never CPU-bound in these experiments). *)
-let occupy t dom span =
-  Metrics.add_busy t.metrics ("vcpu." ^ dom.Domain.name) span;
+let occupy t dom a span =
+  Metrics.bump a.busy span;
   (match t.path with
   | Some p -> Kite_path.Path.cpu_sample p ~domain:dom.Domain.name ~cost:span
   | None -> ());
   if span > 0 then begin
-    let cursors =
-      match Hashtbl.find_opt t.cpu_free_at dom.Domain.id with
-      | Some a -> a
-      | None ->
-          let a = Array.make (max 1 dom.Domain.vcpus) Time.zero in
-          Hashtbl.add t.cpu_free_at dom.Domain.id a;
-          a
-    in
+    if Array.length a.cursors = 0 then
+      a.cursors <- Array.make (max 1 dom.Domain.vcpus) Time.zero;
+    let cursors = a.cursors in
     (* Run on the earliest-free vCPU. *)
     let best = ref 0 in
-    Array.iteri (fun i at -> if at < cursors.(!best) then best := i) cursors;
+    for i = 1 to Array.length cursors - 1 do
+      if cursors.(i) < cursors.(!best) then best := i
+    done;
     let now = Engine.now t.engine in
     let start = max now cursors.(!best) in
     let finish = start + span in
@@ -135,19 +176,17 @@ let occupy t dom span =
     Process.sleep (finish - now)
   end
 
-let charge t dom what span =
-  Metrics.incr t.metrics what;
-  (* Per-domain breakdown for xentrace-style profiles. *)
-  Metrics.incr t.metrics (Printf.sprintf "dom.%s.%s" dom.Domain.name what);
+let hypercall t dom name ~extra =
+  let span = t.costs.Costs.hypercall_base + extra in
+  let a = account t dom in
+  let c = call t a name in
+  Metrics.bump c.count 1;
   (match t.trace with
   | Some tr ->
       Kite_trace.Trace.charge tr ~at:(Engine.now t.engine)
-        ~domain:dom.Domain.name ~op:what ~cost:span
+        ~domain:dom.Domain.name ~op:c.op ~cost:span
   | None -> ());
-  occupy t dom span
-
-let hypercall t dom name ~extra =
-  charge t dom ("hypercall." ^ name) (t.costs.Costs.hypercall_base + extra)
+  occupy t dom a span
 
 let cpu_work t dom span =
   (match t.trace with
@@ -155,7 +194,7 @@ let cpu_work t dom span =
       Kite_trace.Trace.cpu_work tr ~at:(Engine.now t.engine)
         ~domain:dom.Domain.name ~cost:span
   | None -> ());
-  occupy t dom span
+  occupy t dom (account t dom) span
 
 let run t = Engine.run t.engine
 let run_for t span = Engine.run_for t.engine span

@@ -2,8 +2,8 @@
 
     Owns the simulated machine — engine, scheduler, domains, the xenstore
     database, and the hypercall cost model.  All hypercall-shaped
-    operations of the other modules go through {!charge} so that every
-    experiment accounts hypercall counts and time uniformly. *)
+    operations of the other modules go through {!hypercall} so that
+    every experiment accounts hypercall counts and time uniformly. *)
 
 type t
 
@@ -25,7 +25,7 @@ val rng : t -> Kite_sim.Rng.t
 val now : t -> Kite_sim.Time.t
 
 val set_trace : t -> Kite_trace.Trace.t option -> unit
-(** Attach (or detach) an event tracer for this machine: {!charge} /
+(** Attach (or detach) an event tracer for this machine: {!hypercall} /
     {!cpu_work} emit cost events, and the scheduler's tracer is set so
     that processes spawned afterwards are tracked (see
     {!Kite_sim.Process.set_trace}).  [None] (the default) restores the
@@ -70,17 +70,15 @@ val spawn :
     with the domain name for diagnostics.  [daemon] marks service loops
     the checker's quiescence report skips. *)
 
-val charge : t -> Domain.t -> string -> Kite_sim.Time.span -> unit
-(** [charge hv dom what span] models [dom] spending [span] on hypercall or
-    device work named [what]: the calling process sleeps for [span] (on
-    one of the domain's vCPUs, contending with its other work), the
-    [what] counter increments globally and under ["dom.<name>.<what>"],
-    and the domain's vCPU busy time grows.  Must run in process
-    context. *)
-
 val hypercall : t -> Domain.t -> string -> extra:Kite_sim.Time.span -> unit
-(** [hypercall hv dom name ~extra] charges [hypercall_base + extra] and
-    counts ["hypercall." ^ name]. *)
+(** [hypercall hv dom name ~extra] models [dom] making hypercall [name]
+    at a cost of [span = hypercall_base + extra]: the
+    ["hypercall.<name>"] counter increments, the domain's
+    ["vcpu.<name>"] busy time grows by [span], and the calling process
+    sleeps for [span] on one of the domain's vCPUs, queueing behind its
+    other work.  With a tracer attached the charge is also recorded
+    against the domain (op ["hypercall.<name>"]).  Must run in process
+    context. *)
 
 val cpu_work : t -> Domain.t -> Kite_sim.Time.span -> unit
 (** Plain computation on the domain's vCPU (no hypercall counter). *)

@@ -213,10 +213,93 @@ let test_restart_claim () =
   check_bool "kite recovers 10x faster" true
     (outage "Linux" /. outage "Kite" >= 10.0)
 
+(* Accounting golden: the counter names, hypercall counts and vCPU busy
+   times of one ping run and one storage run.  The hypervisor resolves
+   its accounting cells once per domain; these values pin that it still
+   creates, counts and names exactly what it always did. *)
+let accounting m =
+  let names = Metrics.names m in
+  ( names,
+    List.filter_map
+      (fun n ->
+        if String.starts_with ~prefix:"hypercall." n then
+          Some (n, Metrics.count m n)
+        else None)
+      names,
+    List.map (fun n -> (n, Metrics.busy m n)) (Metrics.busy_names m) )
+
+let check_accounting what m ~names ~hypercalls ~busy =
+  let got_names, got_hypercalls, got_busy = accounting m in
+  Alcotest.(check (list string)) (what ^ " counter names") names got_names;
+  Alcotest.(check (list (pair string int)))
+    (what ^ " hypercall counts") hypercalls got_hypercalls;
+  Alcotest.(check (list (pair string int))) (what ^ " vcpu busy") busy got_busy
+
+let test_accounting_golden () =
+  let s = Scenario.network ~flavor:Scenario.Kite () in
+  Scenario.when_net_ready s (fun () ->
+      for seq = 1 to 3 do
+        ignore
+          (Kite_net.Stack.ping s.Scenario.client_stack
+             ~dst:s.Scenario.guest_ip ~seq ())
+      done);
+  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 2);
+  Scenario.teardown_all ();
+  check_accounting "network"
+    (Kite_xen.Hypervisor.metrics s.Scenario.hv)
+    ~names:
+      [
+        "hypercall.evtchn_send";
+        "hypercall.grant_copy";
+        "hypercall.grant_map";
+        "hypercall.xenstore_op";
+        "nic.eth-cli.rx";
+        "nic.eth-cli.tx";
+        "nic.eth-srv.rx";
+        "nic.eth-srv.tx";
+      ]
+    ~hypercalls:
+      [
+        ("hypercall.evtchn_send", 13);
+        ("hypercall.grant_copy", 8);
+        ("hypercall.grant_map", 1);
+        ("hypercall.xenstore_op", 23);
+      ]
+    ~busy:[ ("vcpu.Kite-netdd", 649180); ("vcpu.domu", 337300) ];
+  let b = Scenario.storage ~flavor:Scenario.Kite () in
+  Scenario.when_blk_ready b (fun () ->
+      let bf = b.Scenario.blkfront in
+      Kite_drivers.Blkfront.write bf ~sector:0 (Bytes.make 4096 'k');
+      ignore (Kite_drivers.Blkfront.read bf ~sector:0 ~count:8);
+      Kite_drivers.Blkfront.flush bf);
+  Kite_xen.Hypervisor.run_for b.Scenario.bhv (Time.sec 2);
+  Scenario.teardown_all ();
+  check_accounting "storage"
+    (Kite_xen.Hypervisor.metrics b.Scenario.bhv)
+    ~names:
+      [
+        "hypercall.evtchn_send";
+        "hypercall.grant_map";
+        "hypercall.grant_unmap";
+        "hypercall.xenstore_op";
+        "nvme.nvme0.flush";
+        "nvme.nvme0.read";
+        "nvme.nvme0.write";
+      ]
+    ~hypercalls:
+      [
+        ("hypercall.evtchn_send", 6);
+        ("hypercall.grant_map", 2);
+        ("hypercall.grant_unmap", 1);
+        ("hypercall.xenstore_op", 29);
+      ]
+    ~busy:[ ("vcpu.Kite-stordd", 584200); ("vcpu.domu", 396300) ]
+
 let suite =
   [
     ("network scenario boots", `Quick, test_network_scenario_boots);
     ("storage scenario boots", `Quick, test_storage_scenario_boots);
+    ("accounting golden", `Quick, test_accounting_golden);
     ("blockdev end to end", `Quick, test_scenario_blockdev_end_to_end);
     ("flavors differ on cold latency", `Quick, test_scenario_flavors_differ);
     ("overheads override", `Quick, test_overheads_override);

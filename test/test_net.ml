@@ -36,6 +36,63 @@ let test_checksum () =
   let b = Bytes.of_string "\x00\x01\xf2\x03\xf4\xf5\xf6\xf7" in
   check_int "rfc1071" 0x220d (Wire.checksum b ~off:0 ~len:8)
 
+(* Byte-at-a-time RFC 1071 reference: the checksum of the concatenated
+   ranges, each summed as 16-bit big-endian words from its own start. *)
+let reference_checksum ranges =
+  let sum =
+    List.fold_left
+      (fun acc (b, off, len) ->
+        let acc = ref acc in
+        for j = 0 to len - 1 do
+          let byte = Char.code (Bytes.get b (off + j)) in
+          acc := !acc + if j land 1 = 0 then byte lsl 8 else byte
+        done;
+        !acc)
+      0 ranges
+  in
+  let s = ref sum in
+  while !s lsr 16 <> 0 do
+    s := (!s land 0xffff) + (!s lsr 16)
+  done;
+  lnot !s land 0xffff
+
+let prop_checksum_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* len = 0 -- 1500 in
+      let* off = 0 -- 7 in
+      let* slack = 0 -- 3 in
+      let* bytes = string_size ~gen:char (return (off + len + slack)) in
+      let* ph = string_size ~gen:char (return 12) in
+      return (Bytes.of_string bytes, off, len, Bytes.of_string ph))
+  in
+  QCheck.Test.make ~name:"checksum equals the byte-wise reference" ~count:300
+    (QCheck.make
+       ~print:(fun (_, off, len, _) -> Printf.sprintf "off %d len %d" off len)
+       gen)
+    (fun (b, off, len, ph) ->
+      Wire.checksum b ~off ~len = reference_checksum [ (b, off, len) ]
+      (* Two ranges, as the UDP/TCP pseudo-header uses them. *)
+      && Wire.checksum_list [ (ph, 0, 12); (b, off, len) ]
+         = reference_checksum [ (ph, 0, 12); (b, off, len) ])
+
+let test_checksum_range_checked () =
+  let b = Bytes.make 16 '\xff' in
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  raises "negative off" (fun () -> Wire.checksum b ~off:(-1) ~len:4);
+  raises "negative len" (fun () -> Wire.checksum b ~off:0 ~len:(-2));
+  raises "past the end" (fun () -> Wire.checksum b ~off:13 ~len:4);
+  raises "odd tail past the end" (fun () -> Wire.checksum b ~off:0 ~len:17);
+  raises "list range past the end" (fun () ->
+      Wire.checksum_list [ (b, 0, 12); (b, 10, 7) ]);
+  check_int "whole buffer" (reference_checksum [ (b, 0, 16) ])
+    (Wire.checksum b ~off:0 ~len:16);
+  check_int "empty range at the end" 0xffff (Wire.checksum b ~off:16 ~len:0)
+
 let test_ethernet_roundtrip () =
   let h =
     {
@@ -976,6 +1033,7 @@ let suite =
     ("macaddr", `Quick, test_macaddr);
     ("ipv4addr", `Quick, test_ipv4addr);
     ("internet checksum", `Quick, test_checksum);
+    ("checksum range checked", `Quick, test_checksum_range_checked);
     ("ethernet roundtrip", `Quick, test_ethernet_roundtrip);
     ("ethernet runt", `Quick, test_ethernet_runt);
     ("arp roundtrip", `Quick, test_arp_roundtrip);
@@ -1023,6 +1081,7 @@ let suite =
     ("capture limit and detach", `Quick, test_capture_limit_and_detach);
     ("capture tcp summary", `Quick, test_capture_tcp_summary);
     QCheck_alcotest.to_alcotest prop_eth_roundtrip;
+    QCheck_alcotest.to_alcotest prop_checksum_matches_reference;
     QCheck_alcotest.to_alcotest prop_udp_roundtrip;
     QCheck_alcotest.to_alcotest prop_tcp_wire_roundtrip;
   ]

@@ -150,6 +150,35 @@ let test_condition_double_wake () =
       0 (Report.count report)
   done
 
+(* Channel names are built lazily, the first time a live detector needs
+   one.  A condition made before the detector is armed still gets its
+   creation-order name, with or without a label, and still carries its
+   signal-to-wake edge. *)
+let test_channel_names_stable () =
+  let c0 = Condition.create () in
+  let c1 = Condition.create ~label:"late" () in
+  let name0 = Condition.chan c0 in
+  let id0 =
+    match String.split_on_char ':' name0 with
+    | [ "cond"; id ] -> int_of_string id
+    | _ -> Alcotest.failf "unexpected unlabelled channel name %S" name0
+  in
+  let report =
+    run_fixture (fun _ s ->
+        Process.spawn s ~name:"waiter" (fun () ->
+            Condition.wait c1;
+            Race.scoped_read ~loc:"fixture:pre" ~site:"waiter.read" ());
+        Process.spawn s ~name:"signaller" (fun () ->
+            Process.sleep (Time.ms 1);
+            Race.scoped_write ~loc:"fixture:pre" ~site:"signaller.write";
+            Condition.signal c1))
+  in
+  check_int "pre-armed condition carries its edge" 0 (Report.count report);
+  Alcotest.(check string)
+    "labelled name, built under the detector"
+    (Printf.sprintf "cond:%d:late" (id0 + 1))
+    (Condition.chan c1)
+
 (* A signal with no waiter is dropped — it must NOT smuggle an edge to a
    process that never actually waited. *)
 let test_condition_signal_before_wait () =
@@ -375,6 +404,7 @@ let suite =
     ("race: injected atomicity violation", `Quick, test_injected_atomicity);
     ("race: injected unordered writes", `Quick, test_injected_unordered);
     ("race: recv from dead sender", `Quick, test_mailbox_edge_dead_sender);
+    ("race: channel names stable", `Quick, test_channel_names_stable);
     ("race: broadcast double wake", `Quick, test_condition_double_wake);
     ( "race: signal before wait is no edge",
       `Quick,

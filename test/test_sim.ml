@@ -9,65 +9,124 @@ let check_bool = Alcotest.(check bool)
 (* Heap                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_heap_order () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.add h ~key:k k) [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (_, v) ->
-        out := v :: !out;
-        drain ()
+(* Pop every entry, returning (key, value) pairs in pop order. *)
+let drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let k = Heap.top_key h in
+      let v = Heap.pop h in
+      go ((k, v) :: acc)
   in
-  drain ();
+  go []
+
+let test_heap_order () =
+  let h = Heap.create ~dummy:(-1) in
+  List.iter (fun k -> Heap.add h ~key:k k) [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
   Alcotest.(check (list int))
-    "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (List.rev !out)
+    "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (List.map snd (drain h))
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" in
   List.iter (fun v -> Heap.add h ~key:7 v) [ "a"; "b"; "c"; "d" ];
-  let next () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
-  let x1 = next () in
-  let x2 = next () in
-  let x3 = next () in
-  let x4 = next () in
   Alcotest.(check (list string))
     "insertion order on equal keys"
     [ "a"; "b"; "c"; "d" ]
-    [ x1; x2; x3; x4 ]
+    (List.map snd (drain h))
 
 let test_heap_interleaved () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 in
   Heap.add h ~key:3 3;
   Heap.add h ~key:1 1;
-  check_int "min" 1 (Option.get (Heap.min_key h));
-  (match Heap.pop h with
-  | Some (k, v) ->
-      check_int "key" 1 k;
-      check_int "val" 1 v
-  | None -> Alcotest.fail "empty");
+  check_int "min" 1 (Heap.top_key h);
+  check_int "val" 1 (Heap.pop h);
   Heap.add h ~key:2 2;
   check_int "size" 2 (Heap.size h);
-  check_int "min2" 2 (Option.get (Heap.min_key h))
+  check_int "min2" 2 (Heap.top_key h)
 
 let test_heap_empty () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 in
   check_bool "empty" true (Heap.is_empty h);
-  check_bool "pop none" true (Heap.pop h = None);
-  check_bool "min none" true (Heap.min_key h = None)
+  Alcotest.check_raises "pop raises" (Invalid_argument "Heap.pop: empty heap")
+    (fun () -> ignore (Heap.pop h));
+  Alcotest.check_raises "top_key raises"
+    (Invalid_argument "Heap.top_key: empty heap") (fun () ->
+      ignore (Heap.top_key h))
+
+(* Regression: a popped value must not stay reachable from the heap's
+   vacated slots, or fired thunks and the buffers they capture live until
+   a later push overwrites the slot. *)
+let test_heap_releases_popped () =
+  let h = Heap.create ~dummy:(ref 0) in
+  let collected = ref false in
+  (* Allocate and pop in a helper so no stack slot of the test keeps the
+     values alive. *)
+  let[@inline never] fill_and_drain () =
+    let first = ref 1 and second = ref 2 in
+    Gc.finalise (fun _ -> collected := true) second;
+    Heap.add h ~key:1 first;
+    Heap.add h ~key:2 second;
+    ignore (Sys.opaque_identity (Heap.pop h));
+    ignore (Sys.opaque_identity (Heap.pop h))
+  in
+  fill_and_drain ();
+  Gc.full_major ();
+  check_bool "second popped value collected" true !collected;
+  check_bool "heap still usable" true (Heap.is_empty h)
+
+(* Random interleavings of adds and pops, with few distinct keys and
+   prios so ties are common: pop order must be a stable sort on
+   (key, prio) of the entries present, i.e. ties broken by insertion. *)
+let prop_heap_matches_stable_sort =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun k p -> `Add (k, p)) (0 -- 4) (0 -- 2));
+          (2, return `Pop);
+        ])
+  in
+  QCheck.Test.make ~name:"heap pops in stable (key, prio, insertion) order"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+       QCheck.Gen.(list_size (0 -- 200) op))
+    (fun ops ->
+      let h = Heap.create ~dummy:(-1) in
+      (* Reference: live entries as (key, prio, insertion index). *)
+      let live = ref [] and n = ref 0 and ok = ref true in
+      let ref_pop () =
+        match List.stable_sort compare !live with
+        | [] -> None
+        | ((_, _, i) as e) :: _ ->
+            live := List.filter (fun x -> x <> e) !live;
+            Some i
+      in
+      List.iter
+        (function
+          | `Add (key, prio) ->
+              Heap.add h ~key ~prio !n;
+              live := (key, prio, !n) :: !live;
+              incr n
+          | `Pop -> (
+              match ref_pop () with
+              | None -> ok := !ok && Heap.is_empty h
+              | Some i -> ok := !ok && Heap.pop h = i))
+        ops;
+      let rec rest () =
+        match ref_pop () with
+        | None -> Heap.is_empty h
+        | Some i -> Heap.pop h = i && rest ()
+      in
+      !ok && Heap.size h = List.length !live && rest ())
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in nondecreasing key order" ~count:200
     QCheck.(list small_int)
     (fun keys ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 in
       List.iter (fun k -> Heap.add h ~key:k k) keys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
-      in
-      let out = drain [] in
-      out = List.sort compare keys)
+      List.map fst (drain h) = List.sort compare keys)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -158,6 +217,30 @@ let test_engine_run_until () =
   check_int "clock advanced" (Time.ms 5) (Engine.now e);
   Engine.run e;
   check_int "rest" 10 !count
+
+(* [run_until] lands the clock exactly on the limit, whether the last
+   event fired before it or no event was due at all, and cancelled
+   events stay counted as pending until the queue reaps them. *)
+let test_engine_run_until_limit () =
+  let e = Engine.create () in
+  ignore (Engine.schedule_at e 10 ignore);
+  let late = Engine.schedule_at e 50 ignore in
+  ignore (Engine.schedule_at e 90 ignore);
+  Engine.cancel late;
+  check_int "pending counts cancelled" 3 (Engine.pending e);
+  Engine.run_until e 37;
+  check_int "clock at limit" 37 (Engine.now e);
+  check_int "two left" 2 (Engine.pending e);
+  Engine.run_until e 50;
+  check_int "clock on the cancelled event" 50 (Engine.now e);
+  check_int "cancelled reaped" 1 (Engine.pending e);
+  Engine.run_until e 60;
+  check_int "idle advance" 60 (Engine.now e);
+  Engine.run_until e 40;
+  check_int "no rewind" 60 (Engine.now e);
+  Engine.run e;
+  check_int "drained" 0 (Engine.pending e);
+  check_int "last event" 90 (Engine.now e)
 
 let test_engine_past_rejected () =
   let e = Engine.create () in
@@ -443,6 +526,7 @@ let suite =
     ("heap fifo ties", `Quick, test_heap_fifo_ties);
     ("heap interleaved ops", `Quick, test_heap_interleaved);
     ("heap empty", `Quick, test_heap_empty);
+    ("heap releases popped values", `Quick, test_heap_releases_popped);
     ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng int bounds", `Quick, test_rng_bounds);
     ("rng split independence", `Quick, test_rng_split_independent);
@@ -453,6 +537,7 @@ let suite =
     ("engine same-time fifo", `Quick, test_engine_same_time_fifo);
     ("engine cancel", `Quick, test_engine_cancel);
     ("engine run_until", `Quick, test_engine_run_until);
+    ("engine run_until limit", `Quick, test_engine_run_until_limit);
     ("engine rejects past", `Quick, test_engine_past_rejected);
     ("engine cascading events", `Quick, test_engine_cascading);
     ("process sleep", `Quick, test_process_sleep);
@@ -472,5 +557,6 @@ let suite =
     ("metrics", `Quick, test_metrics);
     ("time pretty-printing", `Quick, test_time_pp);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
+    QCheck_alcotest.to_alcotest prop_heap_matches_stable_sort;
     QCheck_alcotest.to_alcotest prop_sleep_accumulates;
   ]
