@@ -59,6 +59,7 @@ let create ?(config = default_config) ?(name = "-") report =
   }
 
 let report t = t.report
+let name t = t.name
 
 let default_ref : (config * Report.t) option ref = ref None
 let set_default v = default_ref := v

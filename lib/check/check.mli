@@ -29,6 +29,7 @@ val create : ?config:config -> ?name:string -> Report.t -> t
 (** [name] labels end-of-run findings (usually the scenario name). *)
 
 val report : t -> Report.t
+val name : t -> string
 
 (** {1 Run-wide default}
 

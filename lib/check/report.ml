@@ -53,22 +53,7 @@ let pp ppf t =
 
 let print t = pp Format.std_formatter t
 
-(* Minimal JSON string escaping: the messages only contain printable
-   ASCII, but be safe about quotes, backslashes and control bytes. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Kite_stats.Json.escape
 
 let to_json t =
   let buf = Buffer.create 1024 in

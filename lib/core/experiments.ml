@@ -1143,7 +1143,7 @@ let restart_recovery ~quick =
         done;
         done_ := Some ());
     drive s.Scenario.bhv done_ "restart-recovery storage";
-    note_flight s.Scenario.blk_flight;
+    note_flight s.Scenario.bctx.Kite_drivers.Xen_ctx.flight;
     let dt = match !downtime with Some d -> d | None -> 0 in
     [
       Scenario.flavor_name flavor;
@@ -1162,14 +1162,14 @@ let restart_recovery ~quick =
        SLO-annotated p99 spike: a timed-out ping is observed at the
        timeout value (the client-visible floor of its latency). *)
     let rtt_h =
-      match s.Scenario.net_metrics with
+      match s.Scenario.ctx.Kite_drivers.Xen_ctx.metrics with
       | Some reg ->
           let h =
             Kite_metrics.Registry.histogram reg
               ~help:"client ping RTT (ns); timeouts observed at the timeout"
               ~base:1000. ~factor:2. "kite_ping_rtt_ns" []
           in
-          (match s.Scenario.net_flight with
+          (match s.Scenario.ctx.Kite_drivers.Xen_ctx.flight with
           | Some fl ->
               Flight.add_slo fl
                 (Slo.create ~name:"ping-rtt-p99" ~metric:"kite_ping_rtt_ns"
@@ -1223,7 +1223,7 @@ let restart_recovery ~quick =
         done;
         done_ := Some ());
     drive s.Scenario.hv done_ "restart-recovery network";
-    note_flight s.Scenario.net_flight;
+    note_flight s.Scenario.ctx.Kite_drivers.Xen_ctx.flight;
     let dt = match !downtime with Some d -> d | None -> 0 in
     [
       Scenario.flavor_name flavor;
@@ -1494,10 +1494,10 @@ let hypercalls ~quick =
 let mq_run ~duration ~mq nq =
   let hv = Kite_xen.Hypervisor.create ~seed:910 () in
   let ctx = Kite_drivers.Xen_ctx.create hv in
-  (* Hand-built testbed, so consult the run-wide sinks explicitly: the
-     flight-overhead bench gate arms a recorder on exactly this
+  (* Hand-built testbed, so arm the run-wide sinks explicitly: the
+     flight- and path-overhead bench gates arm layers on exactly this
      workload.  No-op when nothing is armed. *)
-  Scenario.arm_ambient ctx "mq-";
+  Scenario.arm ctx "mq-";
   let sched = Kite_xen.Hypervisor.sched hv in
   let metrics = Kite_xen.Hypervisor.metrics hv in
   let dd =
@@ -1517,9 +1517,10 @@ let mq_run ~duration ~mq nq =
       ~line_rate_gbps:100.0 ~queue_limit:65536 ()
   in
   Kite_devices.Nic.connect srv cli ~propagation:(Time.ns 500);
-  ignore
-    (Kite_drivers.Net_app.run ctx ~domain:dd ~nic:srv
-       ~overheads:Kite_drivers.Overheads.kite ());
+  let app =
+    Kite_drivers.Net_app.run ctx ~domain:dd ~nic:srv
+      ~overheads:Kite_drivers.Overheads.kite ()
+  in
   let queues = if mq then Some nq else None in
   Kite_drivers.Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid:0
     ?queues ();
@@ -1527,6 +1528,10 @@ let mq_run ~duration ~mq nq =
     Kite_drivers.Netfront.create ctx ~domain:domu ~backend:dd ~devid:0
       ?num_queues:queues ()
   in
+  Scenario.register_teardown ctx ~dd
+    ~stop_backend:(fun () ->
+      Kite_drivers.Netback.stop (Kite_drivers.Net_app.netback app))
+    ~shutdown_frontend:(fun () -> Kite_drivers.Netfront.shutdown front);
   let dev = Kite_drivers.Netfront.netdev front in
   Kite_net.Netdev.set_up dev true;
   let frame_len = 1500 in

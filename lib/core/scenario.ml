@@ -38,32 +38,63 @@ let teardown_all () =
   teardowns := [];
   List.iter (fun f -> try f () with _ -> ()) fs
 
-let attach_check ctx tag =
-  match Kite_check.Check.default () with
-  | None -> None
-  | Some (config, report) ->
-      incr scenario_seq;
-      let c =
-        Kite_check.Check.create ~config
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-          report
-      in
-      Kite_drivers.Xen_ctx.enable_check ctx c;
-      Some c
+(* The incident snapshot's xenstore view: a DFS dump of the /local/domain
+   subtree, captured lazily at trigger time (so a crash trigger that runs
+   before Xenstore.rm still sees the doomed domain's home). *)
+let store_dump ctx () =
+  let xs = Hypervisor.store ctx.Xen_ctx.hv in
+  let rec walk path acc =
+    let acc =
+      match Xenstore.read xs ~path with
+      | Some v when v <> "" -> (path, v) :: acc
+      | _ -> acc
+    in
+    List.fold_left
+      (fun acc child -> walk (path ^ "/" ^ child) acc)
+      acc (Xenstore.directory xs ~path)
+  in
+  List.rev (walk "/local/domain" [])
 
-(* Same default-consulting pattern as [attach_check]: when a trace sink is
-   set (Trace.set_default), every machine built here gets its own tracer
-   registered in the sink. *)
-let attach_trace ctx tag =
-  match Kite_trace.Trace.default () with
-  | None -> ()
+(* Arm every layer whose run-wide sink is set ([default ()]) on one
+   machine: create the machine's instance (named [tag] plus a run-wide
+   sequence number), store it on the context and wire it into the
+   machine-wide primitives.  Rings and per-device driver state are
+   instrumented later, as drivers connect.  The order is fixed, and it
+   decides the instance names: path taps the tracer's span stream and
+   mirrors into the registry, so it follows trace and metrics; the
+   flight recorder taps every other layer, so it comes last. *)
+let arm ctx tag =
+  let hv = ctx.Xen_ctx.hv in
+  let sched = Hypervisor.sched hv and store = Hypervisor.store hv in
+  let name () =
+    incr scenario_seq;
+    Printf.sprintf "%s%d" tag !scenario_seq
+  in
+  (match Kite_check.Check.default () with
+  | Some (config, report) ->
+      let c = Kite_check.Check.create ~config ~name:(name ()) report in
+      ctx.Xen_ctx.check <- Some c;
+      Process.set_check sched (Some c);
+      Grant_table.set_check ctx.Xen_ctx.gt (Some c);
+      Xenstore.set_check store (Some c);
+      Xenbus.set_check ctx.Xen_ctx.xb (Some c)
+  | None -> ());
+  (* Findings land in the sink's shared report, beside the checker's. *)
+  (match Kite_race.Race.default () with
   | Some sink ->
-      incr scenario_seq;
-      let tr =
-        Kite_trace.Trace.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_trace ctx tr;
+      let r = Kite_race.Race.create_in sink ~name:(name ()) in
+      ctx.Xen_ctx.race <- Some r;
+      Process.set_race sched (Some r);
+      Xenstore.set_race store (Some r);
+      Event_channel.set_race ctx.Xen_ctx.ec (Some r);
+      Grant_table.set_race ctx.Xen_ctx.gt (Some r)
+  | None -> ());
+  (match Kite_trace.Trace.default () with
+  | Some sink ->
+      let tr = Kite_trace.Trace.create_in sink ~name:(name ()) in
+      ctx.Xen_ctx.trace <- Some tr;
+      (* Covers the hypervisor's charges and the scheduler. *)
+      Hypervisor.set_trace hv (Some tr);
       (* An orphaned hop/end (no span open on the thread) means a broken
          begin/end pairing somewhere in the instrumentation; the tracer
          counts them, and teardown surfaces a non-zero count as a checker
@@ -89,162 +120,121 @@ let attach_trace ctx tag =
                   }
             | None -> ())
         :: !teardowns
-
-(* And again for fault injection (Fault.set_default): each machine gets
-   its own injector, seeded deterministically from the sink, so two runs
-   with the same seed and plan inject at identical points. *)
-let attach_fault ctx tag =
-  match Kite_fault.Fault.default () with
-  | None -> None
+  | None -> ());
+  (* Each machine's injector is seeded from the sink, so two runs with
+     the same seed and plan inject at identical points.  Devices
+     (NVMe/NIC) are attached by the testbed. *)
+  (match Kite_fault.Fault.default () with
   | Some sink ->
-      incr scenario_seq;
-      let f =
-        Kite_fault.Fault.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_fault ctx f;
-      Some f
-
-(* And for the race detector (Race.set_default): each machine gets its
-   own detector registered in the sink; findings land in the sink's
-   shared report alongside the protocol checker's. *)
-let attach_race ctx tag =
-  match Kite_race.Race.default () with
-  | None -> ()
+      let f = Kite_fault.Fault.create_in sink ~name:(name ()) in
+      ctx.Xen_ctx.fault <- Some f;
+      Event_channel.set_fault ctx.Xen_ctx.ec (Some f);
+      Xenstore.set_fault store (Some f)
+  | None -> ());
+  (* Scheduler and per-domain busy gauges, grant-table and event-channel
+     counters, all polled at sampling time (the services keep their own
+     counts), plus a Dom0 sampler daemon that snapshots every instrument
+     on the registry's interval; it is stop-guarded through the teardown
+     list so audited runs quiesce. *)
+  (match Kite_metrics.Registry.default () with
   | Some sink ->
-      incr scenario_seq;
-      let r =
-        Kite_race.Race.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_race ctx r
-
-(* And for telemetry (Kite_metrics.Registry.set_default): each machine
-   gets its own registry in the sink, plus a Dom0 sampler daemon that
-   snapshots every instrument into its ring-buffered series on the
-   registry's interval.  The sampler is stop-guarded through the
-   teardown list so audited runs quiesce. *)
-let attach_metrics ctx tag =
-  match Kite_metrics.Registry.default () with
-  | None -> None
-  | Some sink ->
-      incr scenario_seq;
-      let r =
-        Kite_metrics.Registry.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_metrics ctx r;
-      let hv = ctx.Xen_ctx.hv in
+      let module R = Kite_metrics.Registry in
+      let r = R.create_in sink ~name:(name ()) in
+      let gt = ctx.Xen_ctx.gt and ec = ctx.Xen_ctx.ec in
+      ctx.Xen_ctx.metrics <- Some r;
+      Hypervisor.set_metrics hv (Some r);
+      R.counter_fn r "kite_grant_maps_total" ~help:"Grant map operations" []
+        (fun () -> Grant_table.map_count gt);
+      R.counter_fn r "kite_grant_unmaps_total" ~help:"Grant unmap operations"
+        [] (fun () -> Grant_table.unmap_count gt);
+      R.counter_fn r "kite_grant_copies_total"
+        ~help:"GNTTABOP_copy operations" []
+        (fun () -> Grant_table.copy_count gt);
+      R.gauge_fn r "kite_grant_active" ~help:"Grants currently in the table" []
+        (fun () -> float_of_int (Grant_table.active_grants gt));
+      R.counter_fn r "kite_evtchn_notifications_total"
+        ~help:"Notify hypercalls issued (before coalescing)" []
+        (fun () -> Event_channel.notifications_sent ec);
+      R.counter_fn r "kite_evtchn_delivered_total"
+        ~help:"Handler invocations performed (after coalescing)" []
+        (fun () -> Event_channel.notifications_delivered ec);
+      R.counter_fn r "kite_evtchn_dropped_total"
+        ~help:"Notifications lost to fault injection" []
+        (fun () -> Event_channel.notifications_dropped ec);
       let stop = ref false in
       teardowns := (fun () -> stop := true) :: !teardowns;
       Hypervisor.spawn hv (Hypervisor.dom0 hv) ~daemon:true
         ~name:"metrics-sampler" (fun () ->
           while not !stop do
-            Process.sleep (Kite_metrics.Registry.interval r);
+            Process.sleep (R.interval r);
             if not !stop then
               Kite_metrics.Registry.sample r ~at:(Hypervisor.now hv)
-          done);
-      Some r
-
-(* And for critical-path attribution (Kite_path.Path.set_default): each
-   machine gets its own engine.  It taps the tracer's span stream
-   additively (so it composes with the flight recorder's primary span
-   observer) and mirrors its histograms/counters into the machine's
-   registry when one is attached — call this after [attach_trace] and
-   [attach_metrics].  Enabling it on the context also arms the
-   scheduler/hypervisor CPU-profiler hooks. *)
-let attach_path ctx tag =
-  match Kite_path.Path.default () with
-  | None -> None
+          done)
+  | None -> ());
+  (* The path engine taps the tracer's span stream additively (so it
+     composes with the flight recorder's primary span observer); arming
+     it on the hypervisor also arms the scheduler/occupancy profiler. *)
+  (match Kite_path.Path.default () with
   | Some sink ->
-      incr scenario_seq;
-      let p =
-        Kite_path.Path.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_path ctx p;
-      (match ctx.Xen_ctx.trace with
-      | Some tr -> Kite_path.Path.tap_trace p tr
-      | None -> ());
-      (match ctx.Xen_ctx.metrics with
-      | Some r -> Kite_path.Path.wire_metrics p r
-      | None -> ());
-      Some p
-
-(* The incident snapshot's xenstore view: a DFS dump of the /local/domain
-   subtree, captured lazily at trigger time (so a crash trigger that runs
-   before Xenstore.rm still sees the doomed domain's home). *)
-let store_dump ctx () =
-  let xs = Hypervisor.store ctx.Xen_ctx.hv in
-  let rec walk path acc =
-    let acc =
-      match Xenstore.read xs ~path with
-      | Some v when v <> "" -> (path, v) :: acc
-      | _ -> acc
-    in
-    List.fold_left
-      (fun acc child -> walk (path ^ "/" ^ child) acc)
-      acc (Xenstore.directory xs ~path)
-  in
-  List.rev (walk "/local/domain" [])
-
-(* And for the flight recorder (Kite_flight.Flight.set_default): each
-   machine gets its own recorder which taps whatever observability layers
-   the testbed already attached (so call this after the others), plus the
-   run's shared checker report when one is set.  Teardown seals any open
-   incident and runs the recorder's own audit. *)
-let attach_flight ctx tag =
+      let p = Kite_path.Path.create_in sink ~name:(name ()) in
+      ctx.Xen_ctx.path <- Some p;
+      Hypervisor.set_path hv (Some p);
+      Option.iter (Kite_path.Path.tap_trace p) ctx.Xen_ctx.trace;
+      Option.iter (Kite_path.Path.wire_metrics p) ctx.Xen_ctx.metrics
+  | None -> ());
+  (* The recorder taps the other layers plus the run's shared checker
+     report (with several machines the last-built one receives the
+     findings records).  Teardown seals any open incident and runs the
+     recorder's own audit. *)
   match Kite_flight.Flight.default () with
-  | None -> None
   | Some sink ->
-      incr scenario_seq;
-      let hv = ctx.Xen_ctx.hv in
+      let module F = Kite_flight.Flight in
       let fl =
-        Kite_flight.Flight.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-          ~now:(fun () -> Hypervisor.now hv)
+        F.create_in sink ~name:(name ()) ~now:(fun () -> Hypervisor.now hv)
       in
-      Kite_drivers.Xen_ctx.enable_flight ctx fl;
-      (match ctx.Xen_ctx.trace with
-      | Some tr -> Kite_flight.Flight.tap_trace fl tr
-      | None -> ());
-      (match ctx.Xen_ctx.fault with
-      | Some f -> Kite_flight.Flight.tap_fault fl f
-      | None -> ());
-      (match ctx.Xen_ctx.metrics with
-      | Some r -> Kite_flight.Flight.tap_metrics fl r
-      | None -> ());
-      (match ctx.Xen_ctx.path with
-      | Some p -> Kite_flight.Flight.tap_path fl p
-      | None -> ());
-      (* The report is shared run-wide, so with several machines the
-         last-built one receives the findings records. *)
+      ctx.Xen_ctx.flight <- Some fl;
+      Option.iter (F.tap_trace fl) ctx.Xen_ctx.trace;
+      Option.iter (F.tap_fault fl) ctx.Xen_ctx.fault;
+      Option.iter (F.tap_metrics fl) ctx.Xen_ctx.metrics;
+      Option.iter (F.tap_path fl) ctx.Xen_ctx.path;
       (match Kite_check.Check.default () with
-      | Some (_, report) -> Kite_flight.Flight.tap_report fl report
+      | Some (_, report) -> F.tap_report fl report
       | None -> ());
-      Kite_flight.Flight.set_store_source fl (store_dump ctx);
+      F.set_store_source fl (store_dump ctx);
       teardowns :=
         (fun () ->
           Kite_flight.Flight.mark fl ~what:"teardown"
             ~msg:"scenario teardown";
-          Kite_flight.Flight.seal_all fl;
+          F.seal_all fl;
           match Kite_check.Check.default () with
-          | Some (_, report) -> Kite_flight.Flight.audit fl report
+          | Some (_, report) -> F.audit fl report
           | None -> ())
-        :: !teardowns;
-      Some fl
+        :: !teardowns
+  | None -> ()
 
-(* Arm whatever ambient observability sinks are set on a hand-built
-   context (the mq benchmarks construct Hypervisor + Xen_ctx directly
-   rather than through [network]/[storage]).  Named arm_, not attach_:
-   callers that never build a full scenario teardown keep lint quiet. *)
-let arm_ambient ctx tag =
-  ignore (attach_check ctx tag);
-  attach_trace ctx tag;
-  ignore (attach_fault ctx tag);
-  ignore (attach_metrics ctx tag);
-  ignore (attach_path ctx tag);
-  ignore (attach_flight ctx tag)
+(* The orderly teardown of one split-driver machine: drain in-flight
+   I/O, stop the backend (unregisters its watch), give its threads a
+   beat to park, then close the frontend; audit only when a checker is
+   armed. *)
+let register_teardown ctx ~dd ~stop_backend ~shutdown_frontend =
+  let hv = ctx.Xen_ctx.hv in
+  teardowns :=
+    (fun () ->
+      Hypervisor.run_for hv (Time.sec 1);
+      Hypervisor.spawn hv dd ~name:"teardown" (fun () ->
+          stop_backend ();
+          Process.sleep (Time.ms 1);
+          (* The sleep is the only thing ordering us after the parked
+             backend threads; claim their exit edges explicitly. *)
+          if Kite_race.Race.active () then Kite_race.Race.scoped_quiesce ();
+          shutdown_frontend ());
+      Hypervisor.run_for hv (Time.ms 50);
+      match ctx.Xen_ctx.check with
+      | Some c ->
+          Kite_check.Check.finalize c
+            ~pending:(Engine.pending (Hypervisor.engine hv))
+      | None -> ())
+    :: !teardowns
 
 (* Edge-triggered backend-health probe: silent until the handshake first
    reaches Connected, then any other state (a crashed or closing
@@ -270,6 +260,36 @@ let backend_state_probe ctx ~dev ~path reg =
              Xenbus.pp_state st)
       else Kite_metrics.Registry.Healthy)
 
+(* What both testbeds start from: a seeded hypervisor, its driver context
+   armed with the run-wide layers, the driver domain (sized by the
+   flavor's OS profile) and the guest, plus — when a registry is armed —
+   the backend-state probe for the [ty] device the testbed registers as
+   devid 0. *)
+let machine ~kind ~flavor ~seed ~schedule_seed:sseed ~profile ~dd_name ~ty =
+  let sseed = match sseed with Some _ -> sseed | None -> !schedule_seed in
+  let hv = Hypervisor.create ~seed ?schedule_seed:sseed () in
+  let ctx = Xen_ctx.create hv in
+  arm ctx (kind ^ "-" ^ flavor_name flavor ^ "-");
+  let profile = Kite_profiles.Os_profile.get profile in
+  let dd =
+    Hypervisor.create_domain hv
+      ~name:(flavor_name flavor ^ dd_name)
+      ~kind:Domain.Driver_domain
+      ~vcpus:profile.Kite_profiles.Os_profile.vcpus
+      ~mem_mb:profile.Kite_profiles.Os_profile.assigned_mem_mb
+  in
+  let domu =
+    Hypervisor.create_domain hv ~name:"domu" ~kind:Domain.Dom_u ~vcpus:22
+      ~mem_mb:5120
+  in
+  (match ctx.Xen_ctx.metrics with
+  | Some r ->
+      backend_state_probe ctx ~dev:(ty ^ "0")
+        ~path:(Xenbus.backend_path ~backend:dd ~frontend:domu ~ty ~devid:0)
+        r
+  | None -> ());
+  (hv, ctx, dd, domu)
+
 type net = {
   hv : Hypervisor.t;
   ctx : Xen_ctx.t;
@@ -285,42 +305,20 @@ type net = {
   server_nic : Kite_devices.Nic.t;
   client_nic : Kite_devices.Nic.t;
   guest_ip : Ipv4addr.t;
-  net_fault : Kite_fault.Fault.t option;
-  net_metrics : Kite_metrics.Registry.t option;
-  net_flight : Kite_flight.Flight.t option;
 }
 
-let network ?overheads_override ~flavor ?(seed = 2022) ?schedule_seed:sseed
+let network ?overheads_override ~flavor ?(seed = 2022) ?schedule_seed
     ?num_queues ?impair () =
-  let sseed = match sseed with Some _ -> sseed | None -> !schedule_seed in
-  let hv = Hypervisor.create ~seed ?schedule_seed:sseed () in
-  let ctx = Xen_ctx.create hv in
-  let check = attach_check ctx ("net-" ^ flavor_name flavor ^ "-") in
-  attach_race ctx ("net-" ^ flavor_name flavor ^ "-");
-  attach_trace ctx ("net-" ^ flavor_name flavor ^ "-");
-  let fault = attach_fault ctx ("net-" ^ flavor_name flavor ^ "-") in
-  let mreg = attach_metrics ctx ("net-" ^ flavor_name flavor ^ "-") in
-  ignore (attach_path ctx ("net-" ^ flavor_name flavor ^ "-"));
-  let flight = attach_flight ctx ("net-" ^ flavor_name flavor ^ "-") in
+  let hv, ctx, dd, domu =
+    machine ~kind:"net" ~flavor ~seed ~schedule_seed
+      ~profile:
+        (match flavor with
+        | Kite -> Kite_profiles.Os_profile.Kite_network
+        | Linux -> Kite_profiles.Os_profile.Linux_network)
+      ~dd_name:"-netdd" ~ty:"vif"
+  in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
-  let profile =
-    Kite_profiles.Os_profile.get
-      (match flavor with
-      | Kite -> Kite_profiles.Os_profile.Kite_network
-      | Linux -> Kite_profiles.Os_profile.Linux_network)
-  in
-  let dd =
-    Hypervisor.create_domain hv
-      ~name:(flavor_name flavor ^ "-netdd")
-      ~kind:Domain.Driver_domain
-      ~vcpus:profile.Kite_profiles.Os_profile.vcpus
-      ~mem_mb:profile.Kite_profiles.Os_profile.assigned_mem_mb
-  in
-  let domu =
-    Hypervisor.create_domain hv ~name:"domu" ~kind:Domain.Dom_u ~vcpus:22
-      ~mem_mb:5120
-  in
   (* The testbed's two 82599ES NICs and the SFP+ cable (Table 2). *)
   let server_nic =
     Kite_devices.Nic.create sched metrics ~name:"eth-srv" ~queue_limit:8192 ()
@@ -349,14 +347,7 @@ let network ?overheads_override ~flavor ?(seed = 2022) ?schedule_seed:sseed
   let overheads =
     Option.value overheads_override ~default:(overheads_of flavor)
   in
-  Kite_devices.Nic.set_fault nic fault;
-  (match mreg with
-  | Some r ->
-      backend_state_probe ctx ~dev:"vif0"
-        ~path:
-          (Xenbus.backend_path ~backend:dd ~frontend:domu ~ty:"vif" ~devid:0)
-        r
-  | None -> ());
+  Kite_devices.Nic.set_fault nic ctx.Xen_ctx.fault;
   let net_app = Net_app.run ctx ~domain:dd ~nic ~overheads () in
   (* The queue count is wired at both layers: the toolstack writes the
      guest-config hint and the frontend is given the explicit ask (the
@@ -396,32 +387,13 @@ let network ?overheads_override ~flavor ?(seed = 2022) ?schedule_seed:sseed
       server_nic;
       client_nic;
       guest_ip;
-      net_fault = fault;
-      net_metrics = mreg;
-      net_flight = flight;
     }
   in
-  (* Drain in-flight I/O, stop the backend (unregisters its watch), give
-     its threads a beat to park, then close the frontend; audit only when
-     a checker is wired in.  [s.net_app] is read at teardown time: after
-     a crash-and-restart cycle it is the respawned backend. *)
-  teardowns :=
-    (fun () ->
-      Hypervisor.run_for hv (Time.sec 1);
-      Hypervisor.spawn hv dd ~name:"teardown" (fun () ->
-          Netback.stop (Net_app.netback s.net_app);
-          Process.sleep (Time.ms 1);
-          (* The sleep is the only thing ordering us after the parked
-             backend threads; claim their exit edges explicitly. *)
-          if Kite_race.Race.active () then Kite_race.Race.scoped_quiesce ();
-          Netfront.shutdown netfront);
-      Hypervisor.run_for hv (Time.ms 50);
-      match check with
-      | Some c ->
-          Kite_check.Check.finalize c
-            ~pending:(Engine.pending (Hypervisor.engine hv))
-      | None -> ())
-    :: !teardowns;
+  (* [s.net_app] is read at teardown time: after a crash-and-restart
+     cycle it is the respawned backend. *)
+  register_teardown ctx ~dd
+    ~stop_backend:(fun () -> Netback.stop (Net_app.netback s.net_app))
+    ~shutdown_frontend:(fun () -> Netfront.shutdown netfront);
   s
 
 let when_net_ready net f =
@@ -440,43 +412,21 @@ type blk = {
   blkfront : Blkfront.t;
   mutable blk_app : Blk_app.t;
   nvme : Kite_devices.Nvme.t;
-  blk_fault : Kite_fault.Fault.t option;
-  blk_metrics : Kite_metrics.Registry.t option;
-  blk_flight : Kite_flight.Flight.t option;
 }
 
-let storage ~flavor ?(seed = 2022) ?schedule_seed:sseed
+let storage ~flavor ?(seed = 2022) ?schedule_seed
     ?(feature_persistent = true) ?(feature_indirect = true)
     ?(batching = true) ?num_queues () =
-  let sseed = match sseed with Some _ -> sseed | None -> !schedule_seed in
-  let hv = Hypervisor.create ~seed ?schedule_seed:sseed () in
-  let ctx = Xen_ctx.create hv in
-  let check = attach_check ctx ("blk-" ^ flavor_name flavor ^ "-") in
-  attach_race ctx ("blk-" ^ flavor_name flavor ^ "-");
-  attach_trace ctx ("blk-" ^ flavor_name flavor ^ "-");
-  let fault = attach_fault ctx ("blk-" ^ flavor_name flavor ^ "-") in
-  let mreg = attach_metrics ctx ("blk-" ^ flavor_name flavor ^ "-") in
-  ignore (attach_path ctx ("blk-" ^ flavor_name flavor ^ "-"));
-  let flight = attach_flight ctx ("blk-" ^ flavor_name flavor ^ "-") in
+  let hv, ctx, dd, domu =
+    machine ~kind:"blk" ~flavor ~seed ~schedule_seed
+      ~profile:
+        (match flavor with
+        | Kite -> Kite_profiles.Os_profile.Kite_storage
+        | Linux -> Kite_profiles.Os_profile.Linux_storage)
+      ~dd_name:"-stordd" ~ty:"vbd"
+  in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
-  let profile =
-    Kite_profiles.Os_profile.get
-      (match flavor with
-      | Kite -> Kite_profiles.Os_profile.Kite_storage
-      | Linux -> Kite_profiles.Os_profile.Linux_storage)
-  in
-  let dd =
-    Hypervisor.create_domain hv
-      ~name:(flavor_name flavor ^ "-stordd")
-      ~kind:Domain.Driver_domain
-      ~vcpus:profile.Kite_profiles.Os_profile.vcpus
-      ~mem_mb:profile.Kite_profiles.Os_profile.assigned_mem_mb
-  in
-  let domu =
-    Hypervisor.create_domain hv ~name:"domu" ~kind:Domain.Dom_u ~vcpus:22
-      ~mem_mb:5120
-  in
   (* Samsung 970 EVO Plus-ish NVMe (Table 2). *)
   let nvme =
     Kite_devices.Nvme.create sched metrics ~name:"nvme0"
@@ -487,14 +437,7 @@ let storage ~flavor ?(seed = 2022) ?schedule_seed:sseed
   Kite_devices.Pci.register pci ~bdf:"02:00.0" (Kite_devices.Pci.Nvme nvme);
   Kite_devices.Pci.assignable_add pci ~bdf:"02:00.0";
   ignore (Kite_devices.Pci.attach pci ~bdf:"02:00.0" dd);
-  Kite_devices.Nvme.set_fault nvme fault;
-  (match mreg with
-  | Some r ->
-      backend_state_probe ctx ~dev:"vbd0"
-        ~path:
-          (Xenbus.backend_path ~backend:dd ~frontend:domu ~ty:"vbd" ~devid:0)
-        r
-  | None -> ());
+  Kite_devices.Nvme.set_fault nvme ctx.Xen_ctx.fault;
   let blk_app =
     Blk_app.run ctx ~domain:dd ~nvme ~overheads:(overheads_of flavor)
       ~feature_persistent ~feature_indirect ~batching ()
@@ -506,26 +449,13 @@ let storage ~flavor ?(seed = 2022) ?schedule_seed:sseed
   in
   let s =
     { bhv = hv; bctx = ctx; bsched = sched; bdd = dd; bdomu = domu;
-      blkfront; blk_app; nvme; blk_fault = fault; blk_metrics = mreg;
-      blk_flight = flight }
+      blkfront; blk_app; nvme }
   in
-  teardowns :=
-    (fun () ->
-      Hypervisor.run_for hv (Time.sec 1);
-      Hypervisor.spawn hv dd ~name:"teardown" (fun () ->
-          (* Backend first: its persistent-reference sweep must unmap
-             before blkfront revokes the pool. *)
-          Blkback.stop (Blk_app.blkback s.blk_app);
-          Process.sleep (Time.ms 1);
-          if Kite_race.Race.active () then Kite_race.Race.scoped_quiesce ();
-          Blkfront.shutdown blkfront);
-      Hypervisor.run_for hv (Time.ms 50);
-      match check with
-      | Some c ->
-          Kite_check.Check.finalize c
-            ~pending:(Engine.pending (Hypervisor.engine hv))
-      | None -> ())
-    :: !teardowns;
+  (* Backend first: its persistent-reference sweep must unmap before
+     blkfront revokes the pool. *)
+  register_teardown ctx ~dd
+    ~stop_backend:(fun () -> Blkback.stop (Blk_app.blkback s.blk_app))
+    ~shutdown_frontend:(fun () -> Blkfront.shutdown blkfront);
   s
 
 let blockdev blk =

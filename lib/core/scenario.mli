@@ -25,14 +25,33 @@ val teardown_all : unit -> unit
     end-of-run audits (grant leaks, orphaned watches, open transactions,
     quiescence) run as the last step. *)
 
-val arm_ambient : Kite_drivers.Xen_ctx.t -> string -> unit
-(** Arm whatever run-wide observability sinks are currently set (check,
-    trace, fault, metrics, path, flight — in that order, so the path
-    engine taps the tracer/registry and the recorder taps the rest) on a
-    hand-built context.  For benchmarks and harnesses
-    that construct [Hypervisor] + [Xen_ctx] directly instead of going
-    through {!network}/{!storage}, which arm these themselves.  The
-    string tags the per-machine instance names. *)
+val arm : Kite_drivers.Xen_ctx.t -> string -> unit
+(** Arm every observability layer whose run-wide sink is set, in one
+    pass and in a fixed order: check, race, trace, fault, metrics, path,
+    flight.  Each armed layer gets this machine's own instance, named
+    by the string tag plus a run-wide sequence number, stored on the
+    context and wired into the machine-wide primitives (scheduler,
+    xenstore, event channels, grant table); rings and driver state are
+    instrumented as drivers connect.  Path comes after trace and metrics
+    because it taps the span stream and mirrors into the registry; the
+    flight recorder taps every other layer, so it comes last.  Layer
+    teardowns (orphaned-span report, sampler stop, incident seal and
+    audit) join the {!teardown_all} list.  {!network} and {!storage}
+    call this themselves; hand-built testbeds ([Hypervisor.create] +
+    [Xen_ctx.create]) call it before spawning drivers, and then
+    {!register_teardown}. *)
+
+val register_teardown :
+  Kite_drivers.Xen_ctx.t ->
+  dd:Kite_xen.Domain.t ->
+  stop_backend:(unit -> unit) ->
+  shutdown_frontend:(unit -> unit) ->
+  unit
+(** Add one machine's orderly teardown to the {!teardown_all} list:
+    drain in-flight I/O for a simulated second, stop the backend from a
+    process in [dd], give its threads a beat to park, shut the frontend
+    down, then — when a checker is armed on the context — run its
+    end-of-run audits. *)
 
 (** {1 Network domain testbed} *)
 
@@ -53,22 +72,13 @@ type net = {
   server_nic : Kite_devices.Nic.t;
   client_nic : Kite_devices.Nic.t;
   guest_ip : Kite_net.Ipv4addr.t;
-  net_fault : Kite_fault.Fault.t option;
-      (** This machine's injector when a fault sink was active
-          ({!Kite_fault.Fault.set_default}) at build time. *)
-  net_metrics : Kite_metrics.Registry.t option;
-      (** This machine's metric registry when a metrics sink was active
-          ({!Kite_metrics.Registry.set_default}) at build time.  A Dom0
-          sampler daemon snapshots it on the registry interval, and a
-          [kite_backend_state] probe alerts if the vif backend leaves
-          Connected after the first handshake. *)
-  net_flight : Kite_flight.Flight.t option;
-      (** This machine's flight recorder when a flight sink was active
-          ({!Kite_flight.Flight.set_default}) at build time, tapping
-          whatever other layers are attached; a driver-domain crash or a
-          probe alert edge triggers an incident snapshot, and teardown
-          seals + audits it. *)
 }
+(** The machine's armed layers live on [ctx] (see {!arm}).  With a
+    metrics registry armed, a Dom0 sampler daemon snapshots it on the
+    registry interval and a [kite_backend_state] probe alerts if the vif
+    backend leaves Connected after the first handshake; with a flight
+    recorder armed, a driver-domain crash or a probe alert edge triggers
+    an incident snapshot, and teardown seals and audits it. *)
 
 val network :
   ?overheads_override:Kite_drivers.Overheads.t ->
@@ -109,18 +119,9 @@ type blk = {
       (** Replaced by {!crash_and_restart_blk} when the backend domain is
           rebuilt. *)
   nvme : Kite_devices.Nvme.t;
-  blk_fault : Kite_fault.Fault.t option;
-      (** This machine's injector when a fault sink was active
-          ({!Kite_fault.Fault.set_default}) at build time. *)
-  blk_metrics : Kite_metrics.Registry.t option;
-      (** This machine's metric registry when a metrics sink was active
-          ({!Kite_metrics.Registry.set_default}) at build time; same
-          sampler and backend-state probe as {!net.net_metrics}, for the
-          vbd backend. *)
-  blk_flight : Kite_flight.Flight.t option;
-      (** This machine's flight recorder when a flight sink was active
-          at build time; see {!net.net_flight}. *)
 }
+(** Armed layers live on [bctx], as for {!net}; the backend-state probe
+    watches the vbd backend. *)
 
 val storage :
   flavor:flavor ->

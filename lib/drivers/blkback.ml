@@ -88,11 +88,6 @@ let hv i = i.ctx.Xen_ctx.hv
 let trace i = i.ctx.Xen_ctx.trace
 let vbd_name i = Printf.sprintf "vbd%d.%d" i.frontend.Domain.id i.devid
 
-let fnote i what =
-  match i.ctx.Xen_ctx.fault with
-  | Some f -> Kite_fault.Fault.note f ~what ~key:(vbd_name i)
-  | None -> ()
-
 let charge_wake i =
   let now = Hypervisor.now (hv i) in
   let idle = now - i.last_activity in
@@ -154,18 +149,9 @@ let offline_instance i =
 
 let apply_quarantine i action =
   let name = Quarantine.action_name action in
-  (match i.ctx.Xen_ctx.check with
-  | Some c ->
-      Kite_check.Check.guest_quarantined c ~domid:i.frontend.Domain.id
-        ~device:(vbd_name i) ~action:name
-        ~faults:(Quarantine.faults i.guard)
-  | None -> ());
-  (match i.ctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.mark fl ~what:"quarantine"
-        ~msg:(Printf.sprintf "%s -> %s" (vbd_name i) name)
-  | None -> ());
-  fnote i ("blkback.quarantine." ^ name);
+  Xen_ctx.quarantined i.ctx ~domid:i.frontend.Domain.id ~device:(vbd_name i)
+    ~action:name ~faults:(Quarantine.faults i.guard);
+  Xen_ctx.note i.ctx ~key:(vbd_name i) ("blkback.quarantine." ^ name);
   match action with
   | Quarantine.Throttle -> ()  (* the request thread consults the level *)
   | Quarantine.Detach -> detach_instance i
@@ -175,24 +161,10 @@ let apply_quarantine i action =
    then whatever escalation the fault count has earned.  Process
    context (Offline writes xenbus states). *)
 let record_fault i ~attack ~detail =
-  (match i.ctx.Xen_ctx.check with
-  | Some c ->
-      Kite_check.Check.guest_fault c ~domid:i.frontend.Domain.id
-        ~device:(vbd_name i)
-        ~attack:(Guest_fault.slug attack)
-        ~detail
-  | None -> ());
-  (match i.ctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.record fl ~layer:"adversary" ~kind:"guest-fault"
-        ~key:(vbd_name i)
-        ~msg:(Printf.sprintf "%s: %s" (Guest_fault.slug attack) detail);
-      Kite_flight.Flight.trigger fl Kite_flight.Flight.Manual
-        ~reason:
-          (Printf.sprintf "guest fault on %s: %s" (vbd_name i)
-             (Guest_fault.slug attack))
-  | None -> ());
-  fnote i ("blkback.guest-fault." ^ Guest_fault.slug attack);
+  Xen_ctx.guest_fault i.ctx ~domid:i.frontend.Domain.id ~device:(vbd_name i)
+    ~attack ~detail ();
+  Xen_ctx.note i.ctx ~key:(vbd_name i)
+    ("blkback.guest-fault." ^ Guest_fault.slug attack);
   match Quarantine.note i.guard attack with
   | Some action -> apply_quarantine i action
   | None -> ()
@@ -592,7 +564,8 @@ let run_batch i r op sector works =
     with
     | Kite_devices.Nvme.Transient_error _ when n < i.retries && not i.stop ->
         i.io_retries <- i.io_retries + 1;
-        fnote i (Printf.sprintf "blkback.io-retry n=%d" (n + 1));
+        Xen_ctx.note i.ctx ~key:(vbd_name i)
+          (Printf.sprintf "blkback.io-retry n=%d" (n + 1));
         Process.sleep (i.retry_backoff * (1 lsl n));
         perform (n + 1)
     | Kite_devices.Nvme.Transient_error _ | Kite_devices.Nvme.Out_of_range _
@@ -1021,26 +994,9 @@ let make_instance t ~frontend ~devid =
 let reject_frontend t ~frontend ~devid ~attack ~detail =
   let domain = t.sdomain in
   let fid = frontend.Domain.id in
-  let device = Printf.sprintf "vbd%d.%d" fid devid in
-  (match t.sctx.Xen_ctx.check with
-  | Some c ->
-      Kite_check.Check.guest_fault c ~domid:fid ~device
-        ~attack:(Guest_fault.slug attack) ~detail;
-      Kite_check.Check.guest_quarantined c ~domid:fid ~device
-        ~action:"offline" ~faults:1
-  | None -> ());
-  (match t.sctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.record fl ~layer:"adversary" ~kind:"guest-fault"
-        ~key:device
-        ~msg:
-          (Printf.sprintf "%s: %s (handshake rejected)"
-             (Guest_fault.slug attack) detail);
-      Kite_flight.Flight.trigger fl Kite_flight.Flight.Manual
-        ~reason:
-          (Printf.sprintf "handshake rejected on %s: %s" device
-             (Guest_fault.slug attack))
-  | None -> ());
+  Xen_ctx.guest_fault t.sctx ~handshake:true ~domid:fid
+    ~device:(Printf.sprintf "vbd%d.%d" fid devid)
+    ~attack ~detail ();
   let bpath = Xenbus.backend_path ~backend:domain ~frontend ~ty:"vbd" ~devid in
   Xenbus.switch_state t.sctx.Xen_ctx.xb domain ~path:bpath Xenbus.Closing;
   Xenbus.switch_state t.sctx.Xen_ctx.xb domain ~path:bpath Xenbus.Closed;

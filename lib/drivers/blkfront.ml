@@ -90,31 +90,10 @@ let fresh_id t =
 
 let vbd_name t = Printf.sprintf "vbd%d.%d" t.domain.Domain.id t.devid
 
-let fnote t what =
-  match t.ctx.Xen_ctx.fault with
-  | Some f -> Kite_fault.Fault.note f ~what ~key:(vbd_name t)
-  | None -> ()
-
 let ring_name t q =
   if t.mq_mode then
     Printf.sprintf "%s/vbd%d.q%d" t.domain.Domain.name t.devid q.qid
   else Printf.sprintf "%s/vbd%d" t.domain.Domain.name t.devid
-
-let attach_ring_instruments t q =
-  (match t.ctx.Xen_ctx.check with
-  | Some c -> Ring.attach_check q.q_ring c ~name:(ring_name t q)
-  | None -> ());
-  (match t.ctx.Xen_ctx.trace with
-  | Some tr ->
-      Ring.attach_trace q.q_ring tr ~name:(ring_name t q)
-        ~now:(fun () -> Hypervisor.now t.ctx.Xen_ctx.hv)
-  | None -> ());
-  (match t.ctx.Xen_ctx.fault with
-  | Some f -> Ring.attach_fault q.q_ring f ~name:(ring_name t q)
-  | None -> ());
-  match t.ctx.Xen_ctx.race with
-  | Some r -> Ring.attach_race q.q_ring r ~name:(ring_name t q)
-  | None -> ()
 
 (* The multi-queue checker invariant: a request id is a device-global
    slot that must never be in flight on two rings at once. *)
@@ -333,13 +312,13 @@ let await_response t p =
         if t.connected && p.status = None then begin
           incr misses;
           if !misses = 1 then begin
-            fnote t "blkfront.watchdog.kick";
+            Xen_ctx.note t.ctx ~key:(vbd_name t) "blkfront.watchdog.kick";
             let q = queue_for t p in
             handle_event t q ();
             if p.status = None then notify_backend t q
           end
           else begin
-            fnote t "blkfront.watchdog.reissue";
+            Xen_ctx.note t.ctx ~key:(vbd_name t) "blkfront.watchdog.reissue";
             t.resubmits <- t.resubmits + 1;
             push_entry t p;
             misses := 0
@@ -538,7 +517,9 @@ let rec connect t () =
             Event_channel.alloc_unbound t.ctx.Xen_ctx.ec t.domain
               ~remote:t.backend;
         });
-  Array.iter (fun q -> attach_ring_instruments t q) t.queues;
+  Array.iter
+    (fun q -> Xen_ctx.instrument_ring t.ctx q.q_ring ~name:(ring_name t q))
+    t.queues;
   if mq_mode then begin
     Xenbus.write xb t.domain
       ~path:(fpath t ^ "/" ^ Blkif.key_num_queues)
@@ -585,7 +566,7 @@ let rec connect t () =
    replayed and a replayed entry's response completes its waiter exactly
    once, so the layer above sees exactly-once semantics. *)
 and reconnect t () =
-  fnote t "blkfront.reconnect";
+  Xen_ctx.note t.ctx ~key:(vbd_name t) "blkfront.reconnect";
   let journal =
     Hashtbl.fold (fun _ p acc -> p :: acc) t.pending []
     |> List.filter (fun p -> p.status = None)
@@ -618,7 +599,7 @@ and reconnect t () =
         push_entry t p
       end)
     journal;
-  fnote t
+  Xen_ctx.note t.ctx ~key:(vbd_name t)
     (Printf.sprintf "blkfront.replay.done n=%d"
        (List.length (List.filter (fun p -> p.status = None) journal)))
 
@@ -645,7 +626,7 @@ and start_monitor t =
              if gone then begin
                t.connected <- false;
                t.reconnects <- t.reconnects + 1;
-               fnote t "blkfront.backend-gone";
+               Xen_ctx.note t.ctx ~key:(vbd_name t) "blkfront.backend-gone";
                Hypervisor.spawn t.ctx.Xen_ctx.hv t.domain
                  ~name:"blkfront-reconnect" (reconnect t)
              end

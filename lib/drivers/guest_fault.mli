@@ -8,8 +8,9 @@
     quarantine policy ({!Quarantine}) decides how hard to hit back.
 
     The taxonomy below is the shared vocabulary of the whole adversary
-    subsystem: backends raise it, {!Kite_check.Check.guest_fault}
-    findings carry its {!slug}, per-guest misbehavior metrics and the
+    subsystem: backends raise it, the checker findings they report
+    through [Xen_ctx.guest_fault] carry its {!slug}, per-guest
+    misbehavior metrics and the
     [lib/adversary] campaign assertions are keyed by it. *)
 
 type attack =

@@ -93,11 +93,6 @@ let vif_name i = Printf.sprintf "vif%d.%d" i.frontend.Domain.id i.devid
 let backlog_chan i q =
   Printf.sprintf "netback:%s.q%d.backlog" (vif_name i) q.qid
 
-let fnote i what =
-  match i.ctx.Xen_ctx.fault with
-  | Some f -> Kite_fault.Fault.note f ~what ~key:(vif_name i)
-  | None -> ()
-
 (* Post-crash, the ring is dead and the channel torn down; a late batch
    must not kick it. *)
 let notify_frontend i q =
@@ -166,18 +161,9 @@ let offline_instance i =
 
 let apply_quarantine i action =
   let name = Quarantine.action_name action in
-  (match i.ctx.Xen_ctx.check with
-  | Some c ->
-      Kite_check.Check.guest_quarantined c ~domid:i.frontend.Domain.id
-        ~device:(vif_name i) ~action:name
-        ~faults:(Quarantine.faults i.guard)
-  | None -> ());
-  (match i.ctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.mark fl ~what:"quarantine"
-        ~msg:(Printf.sprintf "%s -> %s" (vif_name i) name)
-  | None -> ());
-  fnote i ("netback.quarantine." ^ name);
+  Xen_ctx.quarantined i.ctx ~domid:i.frontend.Domain.id ~device:(vif_name i)
+    ~action:name ~faults:(Quarantine.faults i.guard);
+  Xen_ctx.note i.ctx ~key:(vif_name i) ("netback.quarantine." ^ name);
   match action with
   | Quarantine.Throttle -> ()  (* workers consult the level per wakeup *)
   | Quarantine.Detach -> detach_instance i
@@ -187,24 +173,10 @@ let apply_quarantine i action =
    then whatever escalation the fault count has earned.  Process
    context (Offline writes xenbus states). *)
 let record_fault i ~attack ~detail =
-  (match i.ctx.Xen_ctx.check with
-  | Some c ->
-      Kite_check.Check.guest_fault c ~domid:i.frontend.Domain.id
-        ~device:(vif_name i)
-        ~attack:(Guest_fault.slug attack)
-        ~detail
-  | None -> ());
-  (match i.ctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.record fl ~layer:"adversary" ~kind:"guest-fault"
-        ~key:(vif_name i)
-        ~msg:(Printf.sprintf "%s: %s" (Guest_fault.slug attack) detail);
-      Kite_flight.Flight.trigger fl Kite_flight.Flight.Manual
-        ~reason:
-          (Printf.sprintf "guest fault on %s: %s" (vif_name i)
-             (Guest_fault.slug attack))
-  | None -> ());
-  fnote i ("netback.guest-fault." ^ Guest_fault.slug attack);
+  Xen_ctx.guest_fault i.ctx ~domid:i.frontend.Domain.id ~device:(vif_name i)
+    ~attack ~detail ();
+  Xen_ctx.note i.ctx ~key:(vif_name i)
+    ("netback.guest-fault." ^ Guest_fault.slug attack);
   match Quarantine.note i.guard attack with
   | Some action -> apply_quarantine i action
   | None -> ()
@@ -351,12 +323,13 @@ let pusher i q () =
                   | Kite_devices.Nic.Transient_error _
                     when n < i.retries && not i.stop ->
                       i.io_retries <- i.io_retries + 1;
-                      fnote i (Printf.sprintf "netback.tx-retry n=%d" (n + 1));
+                      Xen_ctx.note i.ctx ~key:(vif_name i)
+                        (Printf.sprintf "netback.tx-retry n=%d" (n + 1));
                       Process.sleep (i.retry_backoff * (1 lsl n));
                       deliver (n + 1)
                   | Kite_devices.Nic.Transient_error _ ->
                       i.tx_failed <- i.tx_failed + 1;
-                      fnote i "netback.tx-failed"
+                      Xen_ctx.note i.ctx ~key:(vif_name i) "netback.tx-failed"
                 in
                 deliver 0
             | None -> ());
@@ -870,26 +843,9 @@ let make_instance t ~frontend ~devid =
 let reject_frontend t ~frontend ~devid ~attack ~detail =
   let domain = t.sdomain in
   let fid = frontend.Domain.id in
-  let device = Printf.sprintf "vif%d.%d" fid devid in
-  (match t.sctx.Xen_ctx.check with
-  | Some c ->
-      Kite_check.Check.guest_fault c ~domid:fid ~device
-        ~attack:(Guest_fault.slug attack) ~detail;
-      Kite_check.Check.guest_quarantined c ~domid:fid ~device
-        ~action:"offline" ~faults:1
-  | None -> ());
-  (match t.sctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.record fl ~layer:"adversary" ~kind:"guest-fault"
-        ~key:device
-        ~msg:
-          (Printf.sprintf "%s: %s (handshake rejected)"
-             (Guest_fault.slug attack) detail);
-      Kite_flight.Flight.trigger fl Kite_flight.Flight.Manual
-        ~reason:
-          (Printf.sprintf "handshake rejected on %s: %s" device
-             (Guest_fault.slug attack))
-  | None -> ());
+  Xen_ctx.guest_fault t.sctx ~handshake:true ~domid:fid
+    ~device:(Printf.sprintf "vif%d.%d" fid devid)
+    ~attack ~detail ();
   let bpath = Xenbus.backend_path ~backend:domain ~frontend ~ty:"vif" ~devid in
   Xenbus.switch_state t.sctx.Xen_ctx.xb domain ~path:bpath Xenbus.Closing;
   Xenbus.switch_state t.sctx.Xen_ctx.xb domain ~path:bpath Xenbus.Closed;

@@ -77,7 +77,7 @@ val quarantine : instance -> Quarantine.t
     frontend-supplied ring index, grant reference, descriptor length,
     request id, negotiation key and xenbus state is validated at the
     trust boundary; each violation is a typed {!Guest_fault} reported
-    via {!Kite_check.Check.guest_fault} and fed to this ledger. *)
+    via {!Xen_ctx.guest_fault} and fed to this ledger. *)
 
 val num_queues : instance -> int
 (** Negotiated queue count (1 for a legacy frontend). *)

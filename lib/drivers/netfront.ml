@@ -61,11 +61,6 @@ let fresh_id t =
 
 let vif_name t = Printf.sprintf "vif%d.%d" t.domain.Domain.id t.devid
 
-let fnote t what =
-  match t.ctx.Xen_ctx.fault with
-  | Some f -> Kite_fault.Fault.note f ~what ~key:(vif_name t)
-  | None -> ()
-
 let fpath t =
   Xenbus.frontend_path ~frontend:t.domain ~ty:"vif" ~devid:t.devid
 
@@ -80,31 +75,6 @@ let ring_name t ~dir q =
   if t.mq_mode then
     Printf.sprintf "%s/vif%d-%s.q%d" t.domain.Domain.name t.devid dir q.qid
   else Printf.sprintf "%s/vif%d-%s" t.domain.Domain.name t.devid dir
-
-let attach_ring_instruments t q =
-  let tx_name = ring_name t ~dir:"tx" q in
-  let rx_name = ring_name t ~dir:"rx" q in
-  (match t.ctx.Xen_ctx.check with
-  | Some c ->
-      Ring.attach_check q.tx_ring c ~name:tx_name;
-      Ring.attach_check q.rx_ring c ~name:rx_name
-  | None -> ());
-  (match t.ctx.Xen_ctx.trace with
-  | Some tr ->
-      let now () = Hypervisor.now t.ctx.Xen_ctx.hv in
-      Ring.attach_trace q.tx_ring tr ~name:tx_name ~now;
-      Ring.attach_trace q.rx_ring tr ~name:rx_name ~now
-  | None -> ());
-  (match t.ctx.Xen_ctx.fault with
-  | Some f ->
-      Ring.attach_fault q.tx_ring f ~name:tx_name;
-      Ring.attach_fault q.rx_ring f ~name:rx_name
-  | None -> ());
-  match t.ctx.Xen_ctx.race with
-  | Some r ->
-      Ring.attach_race q.tx_ring r ~name:tx_name;
-      Ring.attach_race q.rx_ring r ~name:rx_name
-  | None -> ()
 
 let mq_claim t q ~slot =
   match t.ctx.Xen_ctx.check with
@@ -419,7 +389,11 @@ let rec connect t () =
         in
         make_queue t ~order ~pool idx);
   t.ring_gen <- t.ring_gen + 1;
-  Array.iter (fun q -> attach_ring_instruments t q) t.queues;
+  Array.iter
+    (fun q ->
+      Xen_ctx.instrument_ring t.ctx q.tx_ring ~name:(ring_name t ~dir:"tx" q);
+      Xen_ctx.instrument_ring t.ctx q.rx_ring ~name:(ring_name t ~dir:"rx" q))
+    t.queues;
   if mq_mode then begin
     Xenbus.write xb t.domain
       ~path:(fpath t ^ "/" ^ Netchannel.key_num_queues)
@@ -483,7 +457,7 @@ let rec connect t () =
    ever copies), so traffic resumes as soon as the re-handshake of all
    queues against the rebooted backend completes. *)
 and reconnect t () =
-  fnote t "netfront.reconnect";
+  Xen_ctx.note t.ctx ~key:(vif_name t) "netfront.reconnect";
   let gt = t.ctx.Xen_ctx.gt in
   Array.iter
     (fun q ->
@@ -507,7 +481,7 @@ and reconnect t () =
   Xenbus.switch_state t.ctx.Xen_ctx.xb t.domain ~path:(fpath t)
     Xenbus.Initialising;
   connect t ();
-  fnote t
+  Xen_ctx.note t.ctx ~key:(vif_name t)
     (Printf.sprintf "netfront.resume tx_lost=%d" t.tx_lost)
 
 (* The backend-state monitor: armed after the first connect, it turns a
@@ -533,7 +507,7 @@ and start_monitor t =
              if gone then begin
                t.connected <- false;
                t.reconnects <- t.reconnects + 1;
-               fnote t "netfront.backend-gone";
+               Xen_ctx.note t.ctx ~key:(vif_name t) "netfront.backend-gone";
                Hypervisor.spawn t.ctx.Xen_ctx.hv t.domain
                  ~name:"netfront-reconnect" (reconnect t)
              end

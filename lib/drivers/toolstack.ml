@@ -28,11 +28,6 @@ let add_vif ctx ~backend ~frontend ~devid ?queues () =
 let add_vbd ctx ~backend ~frontend ~devid ?queues () =
   add_device ctx ~backend ~frontend ~ty:"vbd" ~devid ?queues ()
 
-let fnote ctx what dom =
-  match ctx.Xen_ctx.fault with
-  | Some f -> Kite_fault.Fault.note f ~what ~key:dom.Domain.name
-  | None -> ()
-
 let home_path dom = Printf.sprintf "/local/domain/%d" dom.Domain.id
 
 (* What the hypervisor does when a domain is destroyed: every event
@@ -43,14 +38,10 @@ let home_path dom = Printf.sprintf "/local/domain/%d" dom.Domain.id
    backend vanished.  All pure table updates: callable from any context,
    including after the domain's processes are gone. *)
 let crash_driver_domain ctx dom =
-  fnote ctx "toolstack.crash" dom;
-  (* Trigger the incident snapshot before the teardown below, so the
-     captured xenstore subtree still shows the domain's home. *)
-  (match ctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.crash fl ~domain:dom.Domain.name
-        ~reason:"driver domain destroyed"
-  | None -> ());
+  (* Report (and so trigger the incident snapshot) before the teardown
+     below, so the captured xenstore subtree still shows the domain's
+     home. *)
+  Xen_ctx.domain_crashed ctx dom;
   Event_channel.close_domain ctx.Xen_ctx.ec ~domid:dom.Domain.id;
   Grant_table.revoke_domain ctx.Xen_ctx.gt ~domid:dom.Domain.id;
   Xenstore.rm (Hypervisor.store ctx.Xen_ctx.hv) ~domid:0 ~path:(home_path dom)
@@ -67,11 +58,6 @@ let restart_driver_domain ctx dom ~boot ~respawn ~on_ready =
       let xs = Hypervisor.store hv in
       Xenstore.mkdir xs ~domid:0 ~path:(home_path dom);
       Xenstore.set_owner xs ~path:(home_path dom) ~domid:dom.Domain.id;
-      fnote ctx "toolstack.restarted" dom;
-      (match ctx.Xen_ctx.flight with
-      | Some fl ->
-          Kite_flight.Flight.restart fl ~domain:dom.Domain.name
-            ~msg:"driver domain rebooted"
-      | None -> ());
+      Xen_ctx.domain_restarted ctx dom;
       respawn ();
       on_ready ())

@@ -1,7 +1,13 @@
 (* The bundle of hypervisor services a split driver needs: xenbus for the
    handshake, event channels for notifications, a grant table for shared
    memory, plus the shared-ring registries that stand in for mapping ring
-   pages.  One per simulated machine. *)
+   pages.  One per simulated machine.
+
+   The layer fields are filled by [Scenario.arm]; drivers report to the
+   layers through the verbs below, so they never need to know which
+   layers exist.  The verbs sit on cold paths (connect, faults,
+   quarantine, crash/restart); hot-path hooks whose arguments would
+   allocate stay guarded at their call sites. *)
 
 open Kite_xen
 
@@ -38,71 +44,68 @@ let create hv =
     path = None;
   }
 
-let enable_check t c =
-  t.check <- Some c;
-  Kite_sim.Process.set_check (Hypervisor.sched t.hv) (Some c);
-  Grant_table.set_check t.gt (Some c);
-  Xenstore.set_check (Hypervisor.store t.hv) (Some c);
-  Xenbus.set_check t.xb (Some c)
+let instrument_ring t ring ~name =
+  (match t.check with Some c -> Ring.attach_check ring c ~name | None -> ());
+  (match t.trace with
+  | Some tr ->
+      Ring.attach_trace ring tr ~name ~now:(fun () -> Hypervisor.now t.hv)
+  | None -> ());
+  (match t.fault with Some f -> Ring.attach_fault ring f ~name | None -> ());
+  match t.race with Some r -> Ring.attach_race ring r ~name | None -> ()
 
-let enable_race t r =
-  t.race <- Some r;
-  (* Processes, store nodes, event channels and grant entries are wired
-     machine-wide; rings and per-queue driver state are attached as
-     drivers connect, like [check]. *)
-  Kite_sim.Process.set_race (Hypervisor.sched t.hv) (Some r);
-  Xenstore.set_race (Hypervisor.store t.hv) (Some r);
-  Event_channel.set_race t.ec (Some r);
-  Grant_table.set_race t.gt (Some r)
+let note t ~key what =
+  match t.fault with
+  | Some f -> Kite_fault.Fault.note f ~what ~key
+  | None -> ()
 
-let enable_trace t tr =
-  t.trace <- Some tr;
-  (* Covers the scheduler too (see Hypervisor.set_trace); rings are
-     attached as drivers connect, like [check]. *)
-  Hypervisor.set_trace t.hv (Some tr)
+let guest_fault t ?(handshake = false) ~domid ~device ~attack ~detail () =
+  let slug = Guest_fault.slug attack in
+  (match t.check with
+  | Some c ->
+      Kite_check.Check.guest_fault c ~domid ~device ~attack:slug ~detail;
+      (* A rejected handshake is its own offline quarantine. *)
+      if handshake then
+        Kite_check.Check.guest_quarantined c ~domid ~device ~action:"offline"
+          ~faults:1
+  | None -> ());
+  match t.flight with
+  | Some fl ->
+      Kite_flight.Flight.record fl ~layer:"adversary" ~kind:"guest-fault"
+        ~key:device
+        ~msg:
+          (if handshake then
+             Printf.sprintf "%s: %s (handshake rejected)" slug detail
+           else Printf.sprintf "%s: %s" slug detail);
+      Kite_flight.Flight.trigger fl Kite_flight.Flight.Manual
+        ~reason:
+          (Printf.sprintf "%s on %s: %s"
+             (if handshake then "handshake rejected" else "guest fault")
+             device slug)
+  | None -> ()
 
-let enable_fault t f =
-  t.fault <- Some f;
-  (* Injection points in the machine-wide services; rings and devices
-     are attached as drivers/testbeds wire up, like [check]. *)
-  Event_channel.set_fault t.ec (Some f);
-  Xenstore.set_fault (Hypervisor.store t.hv) (Some f)
+let quarantined t ~domid ~device ~action ~faults =
+  (match t.check with
+  | Some c ->
+      Kite_check.Check.guest_quarantined c ~domid ~device ~action ~faults
+  | None -> ());
+  match t.flight with
+  | Some fl ->
+      Kite_flight.Flight.mark fl ~what:"quarantine"
+        ~msg:(Printf.sprintf "%s -> %s" device action)
+  | None -> ()
 
-let enable_metrics t r =
-  t.metrics <- Some r;
-  (* Scheduler + per-domain busy gauges (see Hypervisor.set_metrics);
-     drivers register their per-device instruments as they connect,
-     like [check].  The machine-wide services below already keep their
-     own counters, so everything here is a polled closure. *)
-  Hypervisor.set_metrics t.hv (Some r);
-  let module R = Kite_metrics.Registry in
-  R.counter_fn r "kite_grant_maps_total" ~help:"Grant map operations" []
-    (fun () -> Grant_table.map_count t.gt);
-  R.counter_fn r "kite_grant_unmaps_total" ~help:"Grant unmap operations" []
-    (fun () -> Grant_table.unmap_count t.gt);
-  R.counter_fn r "kite_grant_copies_total" ~help:"GNTTABOP_copy operations" []
-    (fun () -> Grant_table.copy_count t.gt);
-  R.gauge_fn r "kite_grant_active" ~help:"Grants currently in the table" []
-    (fun () -> float_of_int (Grant_table.active_grants t.gt));
-  R.counter_fn r "kite_evtchn_notifications_total"
-    ~help:"Notify hypercalls issued (before coalescing)" []
-    (fun () -> Event_channel.notifications_sent t.ec);
-  R.counter_fn r "kite_evtchn_delivered_total"
-    ~help:"Handler invocations performed (after coalescing)" []
-    (fun () -> Event_channel.notifications_delivered t.ec);
-  R.counter_fn r "kite_evtchn_dropped_total"
-    ~help:"Notifications lost to fault injection" []
-    (fun () -> Event_channel.notifications_dropped t.ec)
+let domain_crashed t dom =
+  note t ~key:dom.Domain.name "toolstack.crash";
+  match t.flight with
+  | Some fl ->
+      Kite_flight.Flight.crash fl ~domain:dom.Domain.name
+        ~reason:"driver domain destroyed"
+  | None -> ()
 
-let enable_flight t fl =
-  (* The recorder taps the other layers' observer slots itself (see
-     Scenario.attach_flight); the context only carries the handle so the
-     toolstack's crash/restart paths can feed the trigger framework. *)
-  t.flight <- Some fl
-
-let enable_path t p =
-  t.path <- Some p;
-  (* Covers the scheduler's current-process stack and the hypervisor's
-     occupancy attribution (see Hypervisor.set_path); the span tap is
-     installed by Scenario.attach_path after the tracer is attached. *)
-  Hypervisor.set_path t.hv (Some p)
+let domain_restarted t dom =
+  note t ~key:dom.Domain.name "toolstack.restarted";
+  match t.flight with
+  | Some fl ->
+      Kite_flight.Flight.restart fl ~domain:dom.Domain.name
+        ~msg:"driver domain rebooted"
+  | None -> ()

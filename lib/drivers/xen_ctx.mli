@@ -1,4 +1,10 @@
-(** Per-machine bundle of the hypervisor services split drivers use. *)
+(** Per-machine bundle of the hypervisor services split drivers use.
+
+    The layer fields are filled in one pass by [Scenario.arm], which
+    also wires each layer into the machine-wide primitives (scheduler,
+    xenstore, event channels, grant table).  Drivers report to whatever
+    layers are armed through the cold-path verbs below; they hold no
+    knowledge of which layers exist. *)
 
 type t = {
   hv : Kite_xen.Hypervisor.t;
@@ -17,47 +23,44 @@ type t = {
 }
 
 val create : Kite_xen.Hypervisor.t -> t
+(** A context with no layer armed. *)
 
-val enable_check : t -> Kite_check.Check.t -> unit
-(** Wire a protocol checker into this machine: scheduler hooks, the grant
-    table and the xenstore.  Rings are attached as drivers connect (they
-    see [check] through this record).  Call before spawning drivers. *)
+(** {1 Reporting verbs}
 
-val enable_race : t -> Kite_race.Race.t -> unit
-(** Wire a happens-before race detector into this machine: scheduler
-    vector clocks and block epochs, store-node channels, event-channel
-    notify→deliver edges, grant-entry access checks, plus — through this
-    record — per-slot ring instrumentation and per-queue driver state as
-    drivers connect.  Call before spawning drivers. *)
+    Each is a no-op for the layers that are not armed. *)
 
-val enable_trace : t -> Kite_trace.Trace.t -> unit
-(** Wire an event tracer into this machine: hypervisor charges, the
-    scheduler, and — through this record — the drivers' rings, spans and
-    milestones.  Call before spawning drivers. *)
+val instrument_ring : t -> ('req, 'rsp) Kite_xen.Ring.t -> name:string -> unit
+(** Attach every armed per-ring instrument (checker, tracer, fault
+    injector, race detector) to a freshly built shared ring.  Frontends
+    call this as they connect. *)
 
-val enable_fault : t -> Kite_fault.Fault.t -> unit
-(** Wire a fault injector into this machine: event-channel notification
-    drops and xenstore write/watch loss, plus — through this record —
-    ring-slot corruption in the drivers' rings and recovery notes.
-    Devices (NVMe/NIC) are attached by the testbed.  Call before
-    spawning drivers. *)
+val note : t -> key:string -> string -> unit
+(** A recovery milestone for the fault log (e.g. ["netfront.reconnect"]
+    keyed by device). *)
 
-val enable_metrics : t -> Kite_metrics.Registry.t -> unit
-(** Wire a metric registry into this machine: scheduler and per-domain
-    busy gauges, grant-table and event-channel counters, plus — through
-    this record — the drivers' per-vif/per-vbd instruments, ring
-    occupancy gauges and xenstore stats publishers.  Everything is a
-    polled closure evaluated at sampling time; call before spawning
-    drivers. *)
+val guest_fault :
+  t ->
+  ?handshake:bool ->
+  domid:int ->
+  device:string ->
+  attack:Guest_fault.attack ->
+  detail:string ->
+  unit ->
+  unit
+(** A frontend input rejected at the trust boundary: a checker finding
+    under the attack's rule, an ["adversary"] flight record, and a
+    manual incident trigger.  [handshake] (default [false]) marks a
+    handshake that failed validation, which is itself an offline
+    quarantine with one fault. *)
 
-val enable_flight : t -> Kite_flight.Flight.t -> unit
-(** Carry a flight recorder on this machine so the toolstack's
-    crash/restart paths can feed its trigger framework.  The recorder's
-    layer taps are installed by [Scenario.attach_flight], not here. *)
+val quarantined :
+  t -> domid:int -> device:string -> action:string -> faults:int -> unit
+(** A quarantine escalation: a checker finding and a flight mark. *)
 
-val enable_path : t -> Kite_path.Path.t -> unit
-(** Wire a critical-path attribution engine into this machine: the
-    scheduler's current-process stack and the hypervisor's per-domain
-    per-process CPU attribution (the continuous profiler).  The span tap
-    is installed by [Scenario.attach_path] once the tracer is
-    attached. *)
+val domain_crashed : t -> Kite_xen.Domain.t -> unit
+(** A driver domain was destroyed: a fault note and the recorder's
+    crash trigger.  Call before tearing the domain's xenstore subtree
+    down, so the incident snapshot still sees it. *)
+
+val domain_restarted : t -> Kite_xen.Domain.t -> unit
+(** The driver domain is back up: a fault note and a recorder milestone. *)

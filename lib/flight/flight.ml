@@ -382,7 +382,7 @@ let default () = !default_ref
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape = Slo.json_escape
+let json_escape = Kite_stats.Json.escape
 let json_num = Slo.json_num
 
 let record_to_json r =

@@ -69,8 +69,7 @@ val eval_to_json : eval -> string
 
 (**/**)
 
-(* JSON helpers shared with [Flight]. *)
-val json_escape : string -> string
+(* JSON number formatting shared with [Flight]. *)
 val json_num : float -> string
 
 (**/**)

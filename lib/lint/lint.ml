@@ -109,7 +109,7 @@ type facts = {
   mutable watch : bool;
   mutable unwatch : bool;
   mutable hv_create : bool;
-  mutable attach_sink : bool;
+  mutable arm : bool;
   mutable teardown_reg : bool;
 }
 
@@ -122,7 +122,7 @@ let fresh_facts () =
     watch = false;
     unwatch = false;
     hv_create = false;
-    attach_sink = false;
+    arm = false;
     teardown_reg = false;
   }
 
@@ -136,16 +136,14 @@ let note_ident facts lid =
   | Some (("Xenbus" | "Xenstore"), "watch") -> facts.watch <- true
   | Some (("Xenbus" | "Xenstore"), "unwatch") -> facts.unwatch <- true
   | Some ("Hypervisor", "create") -> facts.hv_create <- true
-  | _ -> ());
-  match Longident.flatten lid with
-  | parts ->
-      List.iter
-        (fun p ->
-          if String.length p >= 7 && String.sub p 0 7 = "attach_" then
-            facts.attach_sink <- true;
-          if p = "teardowns" || p = "register_teardown" then
-            facts.teardown_reg <- true)
-        parts
+  (* The one arm entry point, qualified or (inside Scenario) bare. *)
+  | Some ("Scenario", "arm") -> facts.arm <- true
+  | _ -> if lid = Longident.Lident "arm" then facts.arm <- true);
+  List.iter
+    (fun p ->
+      if p = "teardowns" || p = "register_teardown" then
+        facts.teardown_reg <- true)
+    (Longident.flatten lid)
 
 let emit report ~rule ~file ~line msg =
   Kite_check.Report.add report
@@ -231,9 +229,10 @@ let lint_structure config report ~file ~check_guards str =
   if facts.watch && not facts.unwatch then
     emit report ~rule:"lint-watch-unpaired" ~file ~line:0
       "registers a xenstore watch but never unwatches";
-  if facts.hv_create && facts.attach_sink && not facts.teardown_reg then
+  if facts.hv_create && facts.arm && not facts.teardown_reg then
     emit report ~rule:"lint-teardown-missing" ~file ~line:0
-      "builds a hypervisor and attaches sinks but registers no teardown"
+      "builds a hypervisor and arms layers (Scenario.arm) but registers no \
+       teardown"
 
 let lint_file ?(config = default_config) report path =
   let base = Filename.basename path in

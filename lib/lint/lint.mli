@@ -3,7 +3,8 @@
     syntactic policies that the type checker cannot: hot observability
     hooks must be guarded so they are free when no sink is attached,
     grant maps must have a matching unmap, xenstore watches a matching
-    unwatch, and testbed builders must register a teardown.
+    unwatch, and testbed builders that build a hypervisor and arm its
+    layers ([Scenario.arm]) must register a teardown.
 
     The rules are deliberately lexical (per-file pairing, guard shapes)
     rather than a dataflow analysis: the codebase uses a small set of

@@ -162,6 +162,6 @@ val sink_report : sink -> Kite_check.Report.t
 
 val set_default : sink option -> unit
 (** Install (or clear) the run-wide default sink consulted by
-    [Scenario.attach_race]. *)
+    [Scenario.arm]. *)
 
 val default : unit -> sink option

@@ -150,8 +150,8 @@ let result_to_json r =
        "{\"app\":\"%s\",\"profile\":\"%s\",\"clients\":%d,\"offered\":%d,\
         \"completed\":%d,\"errors\":%d,\"elapsed_s\":%s,\"goodput_rps\":%s,\
         \"p50_ms\":%s,\"p99_ms\":%s,\"p999_ms\":%s,\"slos\":["
-       (Slo.json_escape r.sw_app)
-       (Slo.json_escape r.sw_profile)
+       (Kite_stats.Json.escape r.sw_app)
+       (Kite_stats.Json.escape r.sw_profile)
        r.sw_clients r.sw_offered r.sw_completed r.sw_errors
        (Slo.json_num (Time.to_sec_f r.sw_elapsed))
        (Slo.json_num r.sw_goodput_rps)

@@ -320,6 +320,217 @@ let test_blk_xenstore_abuse () =
   |> assert_outcome ~min_level:3 ~rejected:true "blk xenstore-abuse"
 
 (* ------------------------------------------------------------------ *)
+(* Report text: what a backend tells the checker and the recorder      *)
+(* ------------------------------------------------------------------ *)
+
+(* With the checker and the flight recorder armed, one hostile guest
+   lands one in-flight fault (devid 1: ring-index scribble, offlined on
+   sight) and one rejected handshake (devid 2: forged ring reference).
+   Returns every adversary finding, every adversary-layer flight record,
+   the quarantine marks and the incident trigger reasons, as text. *)
+type report_text = {
+  findings : (string * string * string * string) list;
+  records : (string * string * string) list;
+  marks : string list;
+  reasons : string list;
+}
+
+let report_text ~net () =
+  let report = Report.create () in
+  Check.set_default (Some (Check.default_config, report));
+  Flight.set_default (Some (Flight.sink ()));
+  Fun.protect
+    ~finally:(fun () ->
+      Check.set_default None;
+      Flight.set_default None)
+    (fun () ->
+      let hv, ctx, volley =
+        if net then
+          let s = Scenario.network ~flavor:Scenario.Kite ~seed:7 () in
+          let dd = s.Scenario.dd in
+          ( s.Scenario.hv,
+            s.Scenario.ctx,
+            fun evil ->
+              Toolstack.add_vif s.Scenario.ctx ~backend:dd ~frontend:evil
+                ~devid:1 ();
+              let ev =
+                Evil_net.create s.Scenario.ctx ~domain:evil ~backend:dd
+                  ~devid:1 ~nq:1
+              in
+              Evil_net.handshake ev Evil_net.Honest;
+              Process.sleep (Time.ms 2);
+              Evil_net.attack_ring_index ev;
+              Process.sleep (Time.ms 5);
+              Toolstack.add_vif s.Scenario.ctx ~backend:dd ~frontend:evil
+                ~devid:2 ();
+              let bad =
+                Evil_net.create s.Scenario.ctx ~domain:evil ~backend:dd
+                  ~devid:2 ~nq:1
+              in
+              Evil_net.handshake bad Evil_net.Forged_ring_ref;
+              Process.sleep (Time.ms 5);
+              Evil_net.cleanup ev;
+              Evil_net.cleanup bad )
+        else
+          let s = Scenario.storage ~flavor:Scenario.Kite ~seed:7 () in
+          let dd = s.Scenario.bdd in
+          ( s.Scenario.bhv,
+            s.Scenario.bctx,
+            fun evil ->
+              Toolstack.add_vbd s.Scenario.bctx ~backend:dd ~frontend:evil
+                ~devid:1 ();
+              let ev =
+                Evil_blk.create s.Scenario.bctx ~domain:evil ~backend:dd
+                  ~devid:1 ~nq:1
+              in
+              Evil_blk.handshake ev Evil_blk.Honest;
+              Process.sleep (Time.ms 2);
+              Evil_blk.attack_ring_index ev;
+              Process.sleep (Time.ms 5);
+              Toolstack.add_vbd s.Scenario.bctx ~backend:dd ~frontend:evil
+                ~devid:2 ();
+              let bad =
+                Evil_blk.create s.Scenario.bctx ~domain:evil ~backend:dd
+                  ~devid:2 ~nq:1
+              in
+              Evil_blk.handshake bad Evil_blk.Forged_ring_ref;
+              Process.sleep (Time.ms 5);
+              Evil_blk.cleanup ev;
+              Evil_blk.cleanup bad )
+      in
+      let evil =
+        Hypervisor.create_domain hv ~name:"evil" ~kind:Domain.Dom_u ~vcpus:1
+          ~mem_mb:256
+      in
+      Hypervisor.spawn hv evil ~name:"evil" (fun () ->
+          Process.sleep (Time.ms 5);
+          volley evil);
+      Hypervisor.run_for hv (Time.ms 200);
+      let fl =
+        match ctx.Kite_drivers.Xen_ctx.flight with
+        | Some fl -> fl
+        | None -> Alcotest.fail "flight recorder not armed"
+      in
+      let records = Flight.records fl in
+      let text =
+        {
+          findings =
+            List.filter_map
+              (fun f ->
+                if f.Report.subsystem = "adversary" then
+                  Some
+                    ( f.Report.subsystem,
+                      f.Report.rule,
+                      f.Report.provenance,
+                      f.Report.message )
+                else None)
+              (Report.findings report);
+          records =
+            List.filter_map
+              (fun r ->
+                if r.Flight.r_layer = "adversary" then
+                  Some (r.Flight.r_kind, r.Flight.r_key, r.Flight.r_msg)
+                else None)
+              records;
+          marks =
+            List.filter_map
+              (fun r ->
+                if r.Flight.r_kind = "mark" && r.Flight.r_key = "quarantine"
+                then Some r.Flight.r_msg
+                else None)
+              records;
+          reasons =
+            List.map Flight.incident_reason (Flight.incidents fl)
+            @ List.filter_map
+                (fun r ->
+                  if r.Flight.r_kind = "trigger-suppressed" then
+                    Some r.Flight.r_msg
+                  else None)
+                records;
+        }
+      in
+      Scenario.teardown_all ();
+      text)
+
+let check_report_text name expected got =
+  let quad = Alcotest.(list (pair (pair string string) (pair string string))) in
+  let as_pairs = List.map (fun (a, b, c, d) -> ((a, b), (c, d))) in
+  Alcotest.check quad (name ^ ": checker findings") (as_pairs expected.findings)
+    (as_pairs got.findings);
+  Alcotest.(check (list (triple string string string)))
+    (name ^ ": adversary flight records") expected.records got.records;
+  Alcotest.(check (list string)) (name ^ ": quarantine marks") expected.marks
+    got.marks;
+  Alcotest.(check (list string)) (name ^ ": trigger reasons") expected.reasons
+    got.reasons
+
+let test_report_text () =
+  check_report_text "netback"
+    {
+      findings =
+        [
+          ( "adversary", "guest-ring-index", "Kite-netdd/netback-pusher-3.1",
+            "domain 3 on vif3.1: ring-index rejected at the trust boundary \
+             (tx producer window 1000000 outside [0,256])" );
+          ( "adversary", "guest-quarantined", "Kite-netdd/netback-pusher-3.1",
+            "quarantine offline: domain 3 on vif3.1 after 1 guest fault(s)" );
+          ( "adversary", "guest-bad-ring-ref",
+            "Kite-netdd/netback-handshake-3.2",
+            "domain 3 on vif3.2: bad-ring-ref rejected at the trust boundary \
+             (unknown tx ring ref 999983)" );
+          ( "adversary", "guest-quarantined",
+            "Kite-netdd/netback-handshake-3.2",
+            "quarantine offline: domain 3 on vif3.2 after 1 guest fault(s)" );
+        ];
+      records =
+        [
+          ( "guest-fault", "vif3.1",
+            "ring-index: tx producer window 1000000 outside [0,256]" );
+          ( "guest-fault", "vif3.2",
+            "bad-ring-ref: unknown tx ring ref 999983 (handshake rejected)" );
+        ];
+      marks = [ "vif3.1 -> offline" ];
+      reasons =
+        [
+          "guest fault on vif3.1: ring-index";
+          "handshake rejected on vif3.2: bad-ring-ref";
+        ];
+    }
+    (report_text ~net:true ());
+  check_report_text "blkback"
+    {
+      findings =
+        [
+          ( "adversary", "guest-ring-index", "Kite-stordd/blkback-req-3.1",
+            "domain 3 on vbd3.1: ring-index rejected at the trust boundary \
+             (ring 0 request producer outside the valid window)" );
+          ( "adversary", "guest-quarantined", "Kite-stordd/blkback-req-3.1",
+            "quarantine offline: domain 3 on vbd3.1 after 1 guest fault(s)" );
+          ( "adversary", "guest-bad-ring-ref",
+            "Kite-stordd/blkback-handshake-3.2",
+            "domain 3 on vbd3.2: bad-ring-ref rejected at the trust boundary \
+             (unknown ring ref 999983)" );
+          ( "adversary", "guest-quarantined",
+            "Kite-stordd/blkback-handshake-3.2",
+            "quarantine offline: domain 3 on vbd3.2 after 1 guest fault(s)" );
+        ];
+      records =
+        [
+          ( "guest-fault", "vbd3.1",
+            "ring-index: ring 0 request producer outside the valid window" );
+          ( "guest-fault", "vbd3.2",
+            "bad-ring-ref: unknown ring ref 999983 (handshake rejected)" );
+        ];
+      marks = [ "vbd3.1 -> offline" ];
+      reasons =
+        [
+          "guest fault on vbd3.1: ring-index";
+          "handshake rejected on vbd3.2: bad-ring-ref";
+        ];
+    }
+    (report_text ~net:false ())
+
+(* ------------------------------------------------------------------ *)
 (* Seeded campaigns (reduced; the 50-seed sweep is the @adversary gate) *)
 (* ------------------------------------------------------------------ *)
 
@@ -364,5 +575,6 @@ let suite =
     ("blk: bad ring ref", `Quick, test_blk_bad_ring_ref);
     ("blk: bad port", `Quick, test_blk_bad_port);
     ("blk: xenstore abuse", `Quick, test_blk_xenstore_abuse);
+    ("report text pinned", `Quick, test_report_text);
     ("seeded campaigns", `Slow, test_campaigns);
   ]

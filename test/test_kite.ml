@@ -25,6 +25,66 @@ let test_network_scenario_boots () =
   check_int "domains: dom0 + dd + domu" 3
     (List.length (Kite_xen.Hypervisor.domains s.Scenario.hv))
 
+(* With all seven run-wide sinks set, every way of building a machine
+   arms all seven layers, in one fixed order that consecutive instance
+   numbers pin: check, race, trace, fault, metrics, path, flight. *)
+let test_arm_all_layers () =
+  let report = Kite_check.Report.create () in
+  Kite_check.Check.set_default
+    (Some (Kite_check.Check.default_config, report));
+  Kite_race.Race.set_default (Some (Kite_race.Race.sink ~report ()));
+  Kite_trace.Trace.set_default (Some (Kite_trace.Trace.sink ()));
+  Kite_fault.Fault.set_default (Some (Kite_fault.Fault.sink []));
+  Kite_metrics.Registry.set_default (Some (Kite_metrics.Registry.sink ()));
+  Kite_path.Path.set_default (Some (Kite_path.Path.sink ()));
+  Kite_flight.Flight.set_default (Some (Kite_flight.Flight.sink ()));
+  let armed what tag ctx =
+    let some name = function
+      | Some x -> name x
+      | None -> Alcotest.failf "%s: layer not armed" what
+    in
+    let open Kite_drivers.Xen_ctx in
+    let names =
+      [
+        some Kite_check.Check.name ctx.check;
+        some Kite_race.Race.name ctx.race;
+        some Kite_trace.Trace.name ctx.trace;
+        some Kite_fault.Fault.name ctx.fault;
+        some Kite_metrics.Registry.name ctx.metrics;
+        some Kite_path.Path.name ctx.path;
+        some Kite_flight.Flight.name ctx.flight;
+      ]
+    in
+    let tl = String.length tag in
+    let first =
+      let n = List.hd names in
+      int_of_string (String.sub n tl (String.length n - tl))
+    in
+    Alcotest.(check (list string))
+      (what ^ ": instance names in arm order")
+      (List.init 7 (fun k -> tag ^ string_of_int (first + k)))
+      names
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Scenario.teardown_all ();
+      Kite_check.Check.set_default None;
+      Kite_race.Race.set_default None;
+      Kite_trace.Trace.set_default None;
+      Kite_fault.Fault.set_default None;
+      Kite_metrics.Registry.set_default None;
+      Kite_path.Path.set_default None;
+      Kite_flight.Flight.set_default None)
+    (fun () ->
+      let net = Scenario.network ~flavor:Scenario.Kite () in
+      armed "network" "net-Kite-" net.Scenario.ctx;
+      let blk = Scenario.storage ~flavor:Scenario.Linux () in
+      armed "storage" "blk-Linux-" blk.Scenario.bctx;
+      let hv = Kite_xen.Hypervisor.create ~seed:1 () in
+      let ctx = Kite_drivers.Xen_ctx.create hv in
+      Scenario.arm ctx "hand-";
+      armed "hand-built" "hand-" ctx)
+
 let test_storage_scenario_boots () =
   let s = Scenario.storage ~flavor:Scenario.Linux () in
   let ready = ref false in
@@ -299,6 +359,7 @@ let suite =
   [
     ("network scenario boots", `Quick, test_network_scenario_boots);
     ("storage scenario boots", `Quick, test_storage_scenario_boots);
+    ("arm pass arms all seven layers", `Quick, test_arm_all_layers);
     ("accounting golden", `Quick, test_accounting_golden);
     ("blockdev end to end", `Quick, test_scenario_blockdev_end_to_end);
     ("flavors differ on cold latency", `Quick, test_scenario_flavors_differ);

@@ -351,7 +351,6 @@ let test_disabled_emits_nothing () =
   check_bool "I/O flowed" true !done_;
   check_bool "no registry attached" true
     (s.Scenario.bctx.Kite_drivers.Xen_ctx.metrics = None);
-  check_bool "record field empty" true (s.Scenario.blk_metrics = None);
   (* No registry -> no stats publisher daemons, no xenstore nodes. *)
   let stats =
     Kite_xen.Xenbus.backend_path ~backend:s.Scenario.bdd

@@ -292,6 +292,43 @@ let test_lint_accepts_guarded_source () =
   Sys.remove file;
   check_int "clean file lints clean" 0 (Report.count report)
 
+(* lint-teardown-missing keys on the one arm entry point: a file that
+   builds a hypervisor and arms its layers must register a teardown. *)
+let teardown_findings source =
+  let file = Filename.temp_file "kite_lint_teardown" ".ml" in
+  let oc = open_out file in
+  output_string oc source;
+  close_out oc;
+  let report = Report.create () in
+  Kite_lint.Lint.lint_file report file;
+  Sys.remove file;
+  List.length (Report.by_rule report "lint-teardown-missing")
+
+let test_lint_teardown_rule () =
+  check_int "hv create + arm, no teardown: flagged" 1
+    (teardown_findings
+       "let testbed () =\n\
+       \  let hv = Hypervisor.create ~seed:1 () in\n\
+       \  let ctx = Xen_ctx.create hv in\n\
+       \  Scenario.arm ctx \"t-\";\n\
+       \  ctx\n");
+  check_int "hv create + Ring.attach_check alone: not flagged" 0
+    (teardown_findings
+       "let testbed c =\n\
+       \  let hv = Hypervisor.create ~seed:1 () in\n\
+       \  let r = Ring.create ~order:4 in\n\
+       \  Ring.attach_check r c ~name:\"r\";\n\
+       \  (hv, r)\n");
+  check_int "hv create + arm + teardown: not flagged" 0
+    (teardown_findings
+       "let testbed dd stop shut =\n\
+       \  let hv = Hypervisor.create ~seed:1 () in\n\
+       \  let ctx = Xen_ctx.create hv in\n\
+       \  Scenario.arm ctx \"t-\";\n\
+       \  Scenario.register_teardown ctx ~dd ~stop_backend:stop\n\
+       \    ~shutdown_frontend:shut;\n\
+       \  ctx\n")
+
 (* ------------------------------------------------------------------ *)
 (* Schedule-seed sweep of the driver stack                             *)
 (* ------------------------------------------------------------------ *)
@@ -413,5 +450,6 @@ let suite =
     ("race: explorer determinism", `Quick, test_explorer_determinism);
     ("lint: flags bad source", `Quick, test_lint_flags_bad_source);
     ("lint: accepts guarded source", `Quick, test_lint_accepts_guarded_source);
+    ("lint: teardown rule keys on arm", `Quick, test_lint_teardown_rule);
     ("race: ten-schedule stress sweep", `Slow, test_schedule_seed_sweep);
   ]

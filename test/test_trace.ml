@@ -391,6 +391,17 @@ let test_breakdown_tables_render () =
         [ "net.tx"; "frontend"; "ring"; "TOTAL" ]
   | ts -> Alcotest.failf "expected one breakdown table, got %d" (List.length ts)
 
+(* The shared escaper, over arbitrary bytes: no raw control byte
+   survives, and the quoted result is a JSON string the validator
+   accepts. *)
+let prop_json_escape =
+  QCheck.Test.make ~name:"json escape yields valid JSON strings" ~count:500
+    QCheck.(string_gen Gen.char)
+    (fun s ->
+      let e = Kite_stats.Json.escape s in
+      String.for_all (fun c -> Char.code c >= 0x20) e
+      && parse_json ("[\"" ^ e ^ "\"]") = 1)
+
 let suite =
   [
     ("span accounting", `Quick, test_span_accounting);
@@ -401,4 +412,5 @@ let suite =
     ("storage scenario traced", `Quick, test_storage_scenario_traced);
     ("spans cross crash/restart", `Quick, test_spans_cross_restart);
     ("disabled tracer emits nothing", `Quick, test_disabled_emits_nothing);
+    QCheck_alcotest.to_alcotest prop_json_escape;
   ]
