@@ -24,7 +24,9 @@ type t = {
   write_base : Time.span;
   cmd_overhead : Time.span;
   bandwidth_bps : float;
-  sectors : (int, Bytes.t) Hashtbl.t;
+  chunks : (int, Bytes.t) Hashtbl.t;
+      (* written data in zero-initialised [chunk_size] chunks, keyed by
+         [sector / chunk_sectors]; a missing chunk reads as zeroes *)
   queue : command Mailbox.t;
   (* Commands overlap their setup latency, but the flash media moves data
      at a fixed aggregate bandwidth: transfers are serialized on this
@@ -59,22 +61,40 @@ let serve_io t base len =
   t.media_free_at <- finish;
   Process.sleep (finish - now)
 
-let do_read t sector count buf =
-  for i = 0 to count - 1 do
-    let src =
-      match Hashtbl.find_opt t.sectors (sector + i) with
-      | Some b -> b
-      | None -> Bytes.make sector_size '\000'
-    in
-    Bytes.blit src 0 buf (i * sector_size) sector_size
+let chunk_size = 4096
+let chunk_sectors = chunk_size / sector_size
+
+(* Walk the byte range [0, len) of a transfer starting at [sector] one
+   chunk-sized piece at a time: [f key chunk_off pos n] handles the [n]
+   bytes at transfer offset [pos], which sit at [chunk_off] in chunk
+   [key]. *)
+let iter_pieces sector len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let s = sector + (!pos / sector_size) in
+    let chunk_off = s mod chunk_sectors * sector_size in
+    let n = min (chunk_size - chunk_off) (len - !pos) in
+    f (s / chunk_sectors) chunk_off !pos n;
+    pos := !pos + n
   done
 
+let do_read t sector len buf =
+  iter_pieces sector len (fun key chunk_off pos n ->
+      match Hashtbl.find_opt t.chunks key with
+      | Some chunk -> Bytes.blit chunk chunk_off buf pos n
+      | None -> Bytes.fill buf pos n '\000')
+
 let do_write t sector data =
-  let count = Bytes.length data / sector_size in
-  for i = 0 to count - 1 do
-    Hashtbl.replace t.sectors (sector + i)
-      (Bytes.sub data (i * sector_size) sector_size)
-  done
+  iter_pieces sector (Bytes.length data) (fun key chunk_off pos n ->
+      let chunk =
+        match Hashtbl.find_opt t.chunks key with
+        | Some chunk -> chunk
+        | None ->
+            let chunk = Bytes.make chunk_size '\000' in
+            Hashtbl.add t.chunks key chunk;
+            chunk
+      in
+      Bytes.blit data pos chunk chunk_off n)
 
 let worker t () =
   let rec loop () =
@@ -82,7 +102,7 @@ let worker t () =
     (match cmd.op with
     | Read ->
         serve_io t t.read_base cmd.len;
-        do_read t cmd.sector (cmd.len / sector_size) cmd.data;
+        do_read t cmd.sector cmd.len cmd.data;
         t.reads <- t.reads + 1;
         t.bytes_read <- t.bytes_read + cmd.len;
         Metrics.bump t.read_count 1
@@ -113,7 +133,7 @@ let create sched metrics ~name ?(capacity_sectors = 976_773_168)
       write_base;
       cmd_overhead;
       bandwidth_bps = bandwidth_mbps *. 1e6;
-      sectors = Hashtbl.create 4096;
+      chunks = Hashtbl.create 512;
       queue = Mailbox.create ();
       media_free_at = Time.zero;
       reads = 0;

@@ -4,7 +4,13 @@
     of [queue_depth] workers serves submitted commands; a command's
     service time is a fixed base latency plus a bandwidth-proportional
     transfer time.  Reads of never-written sectors return zeroes, like a
-    fresh drive. *)
+    fresh drive.
+
+    The medium is stored sparsely in zero-initialised 4 KiB chunks keyed
+    by [sector / 8], allocated on the first write that touches them.
+    Commands copy between their buffer and the chunks with one blit per
+    chunk a transfer touches; a read of a never-written chunk fills zeroes
+    without allocating.  The store shares no buffer with any caller. *)
 
 type t
 
@@ -41,10 +47,13 @@ exception Transient_error of string
 val set_fault : t -> Kite_fault.Fault.t option -> unit
 
 val read : t -> sector:int -> count:int -> Bytes.t
-(** Blocking (process context): returns [count * 512] bytes. *)
+(** Blocking (process context): returns a fresh buffer of [count * 512]
+    bytes, filled when the command is served. *)
 
 val write : t -> sector:int -> Bytes.t -> unit
-(** Blocking; data length must be a multiple of the sector size. *)
+(** Blocking; data length must be a multiple of the sector size.  The
+    data is copied into the store when the command is served, so the
+    caller may reuse the buffer once [write] returns. *)
 
 val flush : t -> unit
 (** Blocking cache flush barrier. *)

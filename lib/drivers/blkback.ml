@@ -384,7 +384,10 @@ let prepare_run i r reqs =
             | Blkif.Indirect (grefs, count) ->
                 let mine, rest = split_at (List.length grefs) pages in
                 let bytes =
-                  List.map (fun p -> Page.read p ~off:0 ~len:Page.size) mine
+                  List.mapi
+                    (fun k p ->
+                      Page.read p ~off:0 ~len:(Blkif.descriptor_bytes ~count k))
+                    mine
                 in
                 (Blkif.unpack_segments bytes ~count :: acc, rest))
           ([], ind_pages) reqs
@@ -491,22 +494,22 @@ let release i work =
     Grant_table.unmap_many i.ctx.Xen_ctx.gt ~grantee:i.domain
       (List.map (fun s -> s.Blkif.gref) work.segs)
 
-(* Gather a batch's pages into one buffer / scatter one buffer back. *)
+(* Gather a batch's pages into one buffer / scatter one buffer back.
+   Segments and pages are paired positionally and copied straight
+   between the pages and the device buffer. *)
 let gather works =
   let total = List.fold_left (fun a w -> a + w.total_bytes) 0 works in
   let buf = Bytes.create total in
   let off = ref 0 in
   List.iter
     (fun w ->
-      List.iteri
-        (fun pi seg ->
-          let page = List.nth w.pages pi in
+      List.iter2
+        (fun seg page ->
           let len = Blkif.segment_bytes seg in
-          Bytes.blit
-            (Page.read page ~off:(seg.Blkif.first_sect * sector_size) ~len)
-            0 buf !off len;
+          Page.read_into page ~off:(seg.Blkif.first_sect * sector_size) ~len
+            buf ~dst_off:!off;
           off := !off + len)
-        w.segs)
+        w.segs w.pages)
     works;
   buf
 
@@ -514,17 +517,14 @@ let scatter works buf =
   let off = ref 0 in
   List.iter
     (fun w ->
-      List.iteri
-        (fun pi seg ->
-          let page = List.nth w.pages pi in
+      List.iter2
+        (fun seg page ->
           let len = Blkif.segment_bytes seg in
-          Page.write page
-            ~off:(seg.Blkif.first_sect * sector_size)
-            (Bytes.sub buf !off len);
+          Page.write_from page ~off:(seg.Blkif.first_sect * sector_size) buf
+            ~src_off:!off ~len;
           off := !off + len)
-        w.segs)
-    works;
-  ()
+        w.segs w.pages)
+    works
 
 (* Execute one batch of works sharing an operation and contiguous on the
    device: a single physical operation. *)
@@ -616,22 +616,22 @@ let into_batches (i : instance) works =
           current := None
       | None -> ()
     in
+    (* [end_sector] is where the current batch ends on the device: the
+       sector a request must start at to extend it. *)
+    let end_sector = ref 0 in
     List.iter
       (fun w ->
         let op = w.req.Blkif.op in
         let sector = w.req.Blkif.sector in
-        match !current with
+        (match !current with
         | Some (cop, csector, ws)
-          when cop = op && op <> Blkif.Flush
-               && csector
-                  + List.fold_left (fun a x -> a + x.total_bytes) 0 ws
-                    / sector_size
-                  = sector ->
+          when cop = op && op <> Blkif.Flush && !end_sector = sector ->
             current := Some (cop, csector, w :: ws)
         | Some _ ->
             flush_current ();
             current := Some (op, sector, [ w ])
-        | None -> current := Some (op, sector, [ w ]))
+        | None -> current := Some (op, sector, [ w ]));
+        end_sector := sector + (w.total_bytes / sector_size))
       works;
     flush_current ();
     List.rev !batches

@@ -36,17 +36,26 @@ let queue_key q key = Printf.sprintf "queue-%d/%s" q key
 type ring = (request, response) Kite_xen.Ring.t
 
 (* 8 bytes per descriptor: gref u32 | first u8 | last u8 | pad u16. *)
+let descriptor_size = 8
+
+(* Descriptor bytes in use on indirect page [k] of a [count]-segment
+   request: the tail of a granted page past the last descriptor is never
+   read, so neither side materialises it. *)
+let descriptor_bytes ~count k =
+  let per = segments_per_indirect_page in
+  max 0 (min per (count - (k * per))) * descriptor_size
+
 let pack_segments segs =
-  let n = List.length segs in
-  let pages = (n + segments_per_indirect_page - 1) / segments_per_indirect_page in
+  let count = List.length segs in
+  let per = segments_per_indirect_page in
   let bufs =
-    List.init (max pages 1) (fun _ ->
-        Bytes.make (segments_per_indirect_page * 8) '\000')
+    Array.init (max 1 ((count + per - 1) / per)) (fun k ->
+        Bytes.make (descriptor_bytes ~count k) '\000')
   in
   List.iteri
     (fun i s ->
-      let page = List.nth bufs (i / segments_per_indirect_page) in
-      let off = i mod segments_per_indirect_page * 8 in
+      let page = bufs.(i / per) in
+      let off = i mod per * descriptor_size in
       Bytes.set page off (Char.chr ((s.gref lsr 24) land 0xff));
       Bytes.set page (off + 1) (Char.chr ((s.gref lsr 16) land 0xff));
       Bytes.set page (off + 2) (Char.chr ((s.gref lsr 8) land 0xff));
@@ -54,7 +63,7 @@ let pack_segments segs =
       Bytes.set page (off + 4) (Char.chr s.first_sect);
       Bytes.set page (off + 5) (Char.chr s.last_sect))
     segs;
-  bufs
+  Array.to_list bufs
 
 let unpack_segments pages ~count =
   let seg_of page off =
@@ -65,9 +74,10 @@ let unpack_segments pages ~count =
       last_sect = b 5;
     }
   in
+  let pages = Array.of_list pages in
   List.init count (fun i ->
-      let page = List.nth pages (i / segments_per_indirect_page) in
-      seg_of page (i mod segments_per_indirect_page * 8))
+      let page = pages.(i / segments_per_indirect_page) in
+      seg_of page (i mod segments_per_indirect_page * descriptor_size))
 
 type registry = { mutable next : int; rings : (int, ring * int) Hashtbl.t }
 

@@ -70,10 +70,24 @@ type ring = (request, response) Kite_xen.Ring.t
     Descriptors are packed 8 bytes each into granted pages, exactly like
     the C ABI — blkback genuinely parses bytes out of the shared page. *)
 
+val descriptor_bytes : count:int -> int -> int
+(** [descriptor_bytes ~count k] is the number of bytes of packed
+    descriptors on indirect page [k] (from 0) of a [count]-segment
+    request: [8] per descriptor, at most {!segments_per_indirect_page}
+    descriptors per page, [0] for a page past the last descriptor. *)
+
 val pack_segments : segment list -> Bytes.t list
-(** Pages' worth of packed descriptors. *)
+(** One buffer per indirect page, each holding only the descriptors in
+    use ([descriptor_bytes ~count k] bytes for page [k]), not a whole
+    4 KiB page: the frontend copies it to the start of a fresh granted
+    page, whose tail stays zero.  An empty list packs to one empty
+    buffer. *)
 
 val unpack_segments : Bytes.t list -> count:int -> segment list
+(** Parse [count] descriptors out of per-page buffers laid out as by
+    {!pack_segments}; each buffer must hold at least the page's
+    [descriptor_bytes ~count k] bytes (a full page's bytes also do).
+    Raises [Invalid_argument] if a buffer is too short or missing. *)
 
 (** {1 Shared-ring registry} *)
 

@@ -37,10 +37,21 @@ let read t ~off ~len =
   race_read t "Page.read";
   Bytes.sub t.data off len
 
-let write t ~off b =
-  check off (Bytes.length b);
+(* [read_into]/[write_from] copy straight between the page and a
+   caller's buffer, so a payload crosses the host heap once.  They report
+   the sites of [read]/[write]: to the detector they are the same
+   accesses. *)
+let read_into t ~off ~len dst ~dst_off =
+  check off len;
+  race_read t "Page.read";
+  Bytes.blit t.data off dst dst_off len
+
+let write_from t ~off src ~src_off ~len =
+  check off len;
   race_write t "Page.write";
-  Bytes.blit b 0 t.data off (Bytes.length b)
+  Bytes.blit src src_off t.data off len
+
+let write t ~off b = write_from t ~off b ~src_off:0 ~len:(Bytes.length b)
 
 let blit ~src ~src_off ~dst ~dst_off ~len =
   check src_off len;

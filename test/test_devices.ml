@@ -213,6 +213,70 @@ let test_nvme_flush () =
   Engine.run e;
   check_bool "flush completes" true !done_
 
+(* Random write/read sequences against a reference map from sector to
+   its 512 bytes.  Writes of 1-256 sectors land at unaligned sectors in a
+   small window, so they overlap and straddle the device's 4 KiB store
+   chunks; reads span written, never-written and mixed ranges.  Every
+   write's input buffer and every read's result is scribbled on once the
+   call returns: neither may reach a later read. *)
+type nvme_op = W of int * int * int | R of int * int
+
+let prop_nvme_matches_reference =
+  let sec = Nvme.sector_size in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 1,
+            map3 (fun s n k -> W (s, n, k)) (0 -- 1023) (1 -- 256) (0 -- 255)
+          );
+          (1, map2 (fun s n -> R (s, n)) (0 -- 1535) (1 -- 256));
+        ])
+  in
+  let show = function
+    | W (s, n, k) -> Printf.sprintf "W(%d,%d,%d)" s n k
+    | R (s, n) -> Printf.sprintf "R(%d,%d)" s n
+  in
+  QCheck.Test.make ~name:"nvme matches a sector map" ~count:60
+    (QCheck.make
+       ~print:(fun l -> String.concat " " (List.map show l))
+       QCheck.Gen.(list_size (1 -- 24) gen_op))
+    (fun ops ->
+      let e, s, m = setup () in
+      let d = Nvme.create s m ~name:"ssd" () in
+      let model = Hashtbl.create 64 in
+      let expect sector =
+        match Hashtbl.find_opt model sector with
+        | Some b -> b
+        | None -> String.make sec '\000'
+      in
+      let ok = ref true and ran = ref false in
+      Process.spawn s ~name:"io" (fun () ->
+          List.iter
+            (function
+              | W (sector, n, k) ->
+                  let data =
+                    Bytes.init (n * sec) (fun i ->
+                        Char.chr (((i * 13) + k) land 0xff))
+                  in
+                  Nvme.write d ~sector data;
+                  for j = 0 to n - 1 do
+                    Hashtbl.replace model (sector + j)
+                      (Bytes.sub_string data (j * sec) sec)
+                  done;
+                  Bytes.fill data 0 (Bytes.length data) '\xee'
+              | R (sector, n) ->
+                  let back = Nvme.read d ~sector ~count:n in
+                  for j = 0 to n - 1 do
+                    let got = Bytes.sub_string back (j * sec) sec in
+                    if got <> expect (sector + j) then ok := false
+                  done;
+                  Bytes.fill back 0 (Bytes.length back) '\xdd')
+            ops;
+          ran := true);
+      Engine.run e;
+      !ran && !ok)
+
 (* ------------------------------------------------------------------ *)
 (* PCI                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -291,6 +355,7 @@ let suite =
     ("nvme out of range", `Quick, test_nvme_out_of_range);
     ("nvme unaligned write", `Quick, test_nvme_unaligned_write);
     ("nvme flush", `Quick, test_nvme_flush);
+    QCheck_alcotest.to_alcotest prop_nvme_matches_reference;
     ("pci passthrough flow", `Quick, test_pci_passthrough_flow);
     ("pci iommu required", `Quick, test_pci_iommu_required);
     ("pci unknown and duplicate", `Quick, test_pci_unknown_and_duplicate);

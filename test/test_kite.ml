@@ -85,6 +85,91 @@ let test_arm_all_layers () =
       Scenario.arm ctx "hand-";
       armed "hand-built" "hand-" ctx)
 
+(* Arming a layer must not change what the simulation does.  A short
+   storage workload (concurrent 4 KiB writes and reads, a 128 KiB write
+   and read riding indirect descriptors, a read of never-written
+   sectors) runs bare and then with one layer armed; every request must
+   complete at the same simulated instant and every read return the same
+   bytes.  Metrics is left out: it is the one layer that is not
+   digest-neutral, by design (its sampler's backend-state probe and the
+   backends' stats publishers make charged xenstore accesses; DESIGN.md
+   section 11). *)
+let blk_workload () =
+  let b = Scenario.storage ~flavor:Scenario.Kite ~seed:3 () in
+  let bf = b.Scenario.blkfront in
+  let done_at = ref [] in
+  let op i f =
+    Kite_xen.Hypervisor.spawn b.Scenario.bhv b.Scenario.bdomu
+      ~name:(Printf.sprintf "op%d" i) (fun () ->
+        Process.sleep (Time.us (15 * i));
+        let got = f () in
+        done_at :=
+          (i, Kite_xen.Hypervisor.now b.Scenario.bhv, Digest.to_hex got)
+          :: !done_at)
+  in
+  let write i sector n =
+    op i (fun () ->
+        Kite_drivers.Blkfront.write bf ~sector
+          (Bytes.init (n * 512) (fun k -> Char.chr ((k + i) land 0xff)));
+        Digest.string "")
+  and read i sector n =
+    op i (fun () ->
+        Digest.bytes (Kite_drivers.Blkfront.read bf ~sector ~count:n))
+  in
+  Scenario.when_blk_ready b (fun () ->
+      List.iteri
+        (fun i sector -> write i sector 8)
+        [ 0; 8; 16; 4096; 24; 8192 ];
+      write 6 1024 256;
+      read 7 0 8;
+      read 8 8 16;
+      read 9 1024 256;
+      read 10 65536 8;
+      write 11 1024 8;
+      read 12 4096 8;
+      read 13 1024 256);
+  Kite_xen.Hypervisor.run_for b.Scenario.bhv (Time.sec 2);
+  Scenario.teardown_all ();
+  List.sort compare !done_at
+
+let test_layers_digest_neutral () =
+  let disarm () =
+    Kite_check.Check.set_default None;
+    Kite_race.Race.set_default None;
+    Kite_trace.Trace.set_default None;
+    Kite_path.Path.set_default None;
+    Kite_flight.Flight.set_default None
+  in
+  let bare = blk_workload () in
+  check_int "every request completed" 14 (List.length bare);
+  List.iter
+    (fun (layer, arm) ->
+      arm ();
+      let armed = Fun.protect ~finally:disarm blk_workload in
+      Alcotest.(check (list (triple int int string)))
+        (layer ^ ": completion instants and read contents")
+        bare armed)
+    [
+      ( "check",
+        fun () ->
+          Kite_check.Check.set_default
+            (Some (Kite_check.Check.default_config, Kite_check.Report.create ()))
+      );
+      ( "trace",
+        fun () -> Kite_trace.Trace.set_default (Some (Kite_trace.Trace.sink ()))
+      );
+      ( "path",
+        fun () -> Kite_path.Path.set_default (Some (Kite_path.Path.sink ())) );
+      ( "flight",
+        fun () ->
+          Kite_flight.Flight.set_default (Some (Kite_flight.Flight.sink ())) );
+      ( "race",
+        fun () ->
+          Kite_race.Race.set_default
+            (Some (Kite_race.Race.sink ~report:(Kite_check.Report.create ()) ()))
+      );
+    ]
+
 let test_storage_scenario_boots () =
   let s = Scenario.storage ~flavor:Scenario.Linux () in
   let ready = ref false in
@@ -361,6 +446,7 @@ let suite =
     ("storage scenario boots", `Quick, test_storage_scenario_boots);
     ("arm pass arms all seven layers", `Quick, test_arm_all_layers);
     ("accounting golden", `Quick, test_accounting_golden);
+    ("layers are digest-neutral on storage", `Quick, test_layers_digest_neutral);
     ("blockdev end to end", `Quick, test_scenario_blockdev_end_to_end);
     ("flavors differ on cold latency", `Quick, test_scenario_flavors_differ);
     ("overheads override", `Quick, test_overheads_override);

@@ -99,6 +99,62 @@ let test_injected_unordered () =
   check_bool "both sites named" true
     (finding_mentions report "race-unordered" [ "W1.put"; "W2.put" ])
 
+(* The blit accessors check the page range as [read]/[write] do and are
+   the same accesses to the detector: an unsynchronised [write_from] and
+   [read_into] on one page yield exactly the finding [write] and [read]
+   do, with the same sites. *)
+let test_page_blit_accessors () =
+  let module Page = Kite_xen.Page in
+  let page = Page.alloc () in
+  let buf = Bytes.make 16 'x' in
+  let rejects what f =
+    check_bool (what ^ " raises Invalid_argument") true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "read_into past the end" (fun () ->
+      Page.read_into page ~off:4090 ~len:10 buf ~dst_off:0);
+  rejects "read_into negative offset" (fun () ->
+      Page.read_into page ~off:(-1) ~len:4 buf ~dst_off:0);
+  rejects "read_into negative length" (fun () ->
+      Page.read_into page ~off:0 ~len:(-1) buf ~dst_off:0);
+  rejects "write_from past the end" (fun () ->
+      Page.write_from page ~off:4090 buf ~src_off:0 ~len:10);
+  rejects "write_from negative offset" (fun () ->
+      Page.write_from page ~off:(-1) buf ~src_off:0 ~len:4);
+  rejects "write_from negative length" (fun () ->
+      Page.write_from page ~off:0 buf ~src_off:0 ~len:(-1));
+  let findings ~write ~read =
+    let report =
+      run_fixture (fun _ s ->
+          Process.spawn s ~name:"W" (fun () -> write ());
+          Process.spawn s ~name:"R" (fun () ->
+              Process.sleep (Time.ms 1);
+              read ()))
+    in
+    (* The first line names location, kinds, processes and sites; the
+       captured stacks after it differ by call site. *)
+    List.map
+      (fun (f : Report.finding) ->
+        List.hd (String.split_on_char '\n' f.Report.message))
+      (Report.by_rule report "race-unordered")
+  in
+  let blit =
+    findings
+      ~write:(fun () -> Page.write_from page ~off:8 buf ~src_off:0 ~len:16)
+      ~read:(fun () -> Page.read_into page ~off:8 ~len:16 buf ~dst_off:0)
+  in
+  let copy =
+    findings
+      ~write:(fun () -> Page.write page ~off:8 buf)
+      ~read:(fun () -> ignore (Page.read page ~off:8 ~len:16))
+  in
+  check_bool "the unsynchronised pair is reported" true (blit <> []);
+  check_bool "the finding names both page sites" true
+    (List.exists
+       (fun m -> contains m "Page.write" && contains m "Page.read")
+       blit);
+  Alcotest.(check (list string)) "same findings as write/read" copy blit
+
 (* ------------------------------------------------------------------ *)
 (* HB edges: synchronized code is clean, dropped signals are not edges *)
 (* ------------------------------------------------------------------ *)
@@ -440,6 +496,7 @@ let suite =
     ("race: injected lost update", `Quick, test_injected_lost_update);
     ("race: injected atomicity violation", `Quick, test_injected_atomicity);
     ("race: injected unordered writes", `Quick, test_injected_unordered);
+    ("race: page blit accessors", `Quick, test_page_blit_accessors);
     ("race: recv from dead sender", `Quick, test_mailbox_edge_dead_sender);
     ("race: channel names stable", `Quick, test_channel_names_stable);
     ("race: broadcast double wake", `Quick, test_condition_double_wake);
