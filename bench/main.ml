@@ -1,20 +1,14 @@
 (* The experiment harness: regenerates every table and figure of the
-   paper's evaluation (plus the DESIGN.md ablations), and runs a bechamel
-   microbenchmark suite over the substrate's hot data structures.
+   paper's evaluation (plus the DESIGN.md ablations), and runs the
+   overhead gates.  Per-layer microbenchmarks live in perfbench/.
 
    Usage:
      dune exec bench/main.exe                 # all experiments, full scale
      dune exec bench/main.exe -- --quick      # scaled-down smoke pass
      dune exec bench/main.exe -- --only fig9  # one experiment
      dune exec bench/main.exe -- --list
-     dune exec bench/main.exe -- --micro            # bechamel microbenchmarks
-     dune exec bench/main.exe -- --trace-overhead   # disabled-tracer ring cost
-     dune exec bench/main.exe -- --fault-overhead   # disabled-injector ring cost
-     dune exec bench/main.exe -- --flight-overhead  # armed flight recorder, wall clock
-     dune exec bench/main.exe -- --path-overhead    # armed path attribution, wall clock
-     dune exec bench/main.exe -- --adversary-overhead # honest-path validation cost
-     dune exec bench/main.exe -- --swarm-overhead   # swarm harness vs plain open loop
-     dune exec bench/main.exe -- --gates            # every overhead gate in sequence *)
+     dune exec bench/main.exe -- --gates --quick  # every overhead gate
+     dune exec bench/main.exe -- --gate race      # one overhead gate *)
 
 let list_experiments () =
   print_endline "available experiments:";
@@ -34,106 +28,42 @@ let run_one ~quick (id, desc, f) =
     (Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks over the substrate                          *)
+(* Measurement                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let micro_tests () =
+(* Bechamel's OLS estimate of one call of [f], in ns. *)
+let measure_ns f =
   let open Bechamel in
   let open Toolkit in
-  let ring_roundtrip =
-    Test.make ~name:"ring request/response roundtrip"
-      (Staged.stage (fun () ->
-           let r : (int, int) Kite_xen.Ring.t = Kite_xen.Ring.create ~order:5 in
-           for i = 1 to 32 do
-             Kite_xen.Ring.push_request r i
-           done;
-           ignore (Kite_xen.Ring.push_requests_and_check_notify r);
-           let rec drain () =
-             match Kite_xen.Ring.take_request r with
-             | Some v ->
-                 Kite_xen.Ring.push_response r v;
-                 drain ()
-             | None -> ()
-           in
-           drain ();
-           ignore (Kite_xen.Ring.push_responses_and_check_notify r)))
+  let test = Test.make ~name:"side" (Staged.stage f) in
+  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) () in
+  let raw =
+    Benchmark.all cfg
+      Instance.[ monotonic_clock ]
+      (Test.make_grouped ~name:"g" [ test ])
   in
-  let xenstore_write =
-    Test.make ~name:"xenstore write+watch fire"
-      (Staged.stage (fun () ->
-           let xs = Kite_xen.Xenstore.create () in
-           let hits = ref 0 in
-           ignore
-             (Kite_xen.Xenstore.watch xs ~path:"/backend" ~token:"t"
-                (fun ~path:_ ~token:_ -> incr hits));
-           for i = 0 to 63 do
-             Kite_xen.Xenstore.write xs ~domid:0
-               ~path:(Printf.sprintf "/backend/vif/%d" i)
-               "x"
-           done))
-  in
-  let engine_events =
-    Test.make ~name:"engine: 1k timed events"
-      (Staged.stage (fun () ->
-           let e = Kite_sim.Engine.create () in
-           for i = 1 to 1000 do
-             ignore (Kite_sim.Engine.schedule_at e i (fun () -> ()))
-           done;
-           Kite_sim.Engine.run e))
-  in
-  let tcp_checksum =
-    let seg = Bytes.make 1460 'x' in
-    let src = Kite_net.Ipv4addr.of_string "10.0.0.1" in
-    let dst = Kite_net.Ipv4addr.of_string "10.0.0.2" in
-    Test.make ~name:"tcp segment encode (1460B, checksummed)"
-      (Staged.stage (fun () ->
-           ignore
-             (Kite_net.Tcp_wire.encode
-                {
-                  Kite_net.Tcp_wire.src_port = 1;
-                  dst_port = 2;
-                  seq = 42;
-                  ack_num = 41;
-                  flags = Kite_net.Tcp_wire.no_flags;
-                  window = 65536;
-                }
-                ~src ~dst ~payload:seg)))
-  in
-  let gadget_scan =
-    let code =
-      Kite_security.Image_gen.generate
-        { Kite_security.Image_gen.config_name = "bench"; text_kb = 64 }
-    in
-    Test.make ~name:"gadget scan (64 KiB text)"
-      (Staged.stage (fun () -> ignore (Kite_security.Gadget.scan code)))
-  in
-  let tests =
-    [ ring_roundtrip; xenstore_write; engine_events; tcp_checksum; gadget_scan ]
-  in
-  let benchmark test =
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg Instance.[ monotonic_clock ] test
-  in
-  let analyze raw =
-    Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false
-                   ~predictors:[| Measure.run |])
+  let results =
+    Analyze.all
+      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
       (Instance.monotonic_clock :> Measure.witness)
       raw
   in
-  print_endline "== bechamel microbenchmarks (ns/run) ==";
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark (Test.make_grouped ~name:"g" [ test ])) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-45s %12.1f\n%!" name est
-          | Some _ | None -> Printf.printf "  %-45s (no estimate)\n%!" name)
-        results)
-    tests
+  let est = ref nan in
+  Hashtbl.iter
+    (fun _ ols ->
+      match Bechamel.Analyze.OLS.estimates ols with
+      | Some [ e ] -> est := e
+      | Some _ | None -> ())
+    results;
+  !est
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Disabled-tracer overhead gate                                        *)
+(* The ring hot path, three ways                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* A local mirror of the seed's ring hot path (indices, masking, and the
@@ -198,22 +128,6 @@ module Bare_ring = struct
     t.rsp_prod <- t.rsp_prod_pvt
 end
 
-let pre_race_roundtrip () =
-  let r : (int, int) Pre_race_ring.t = Pre_race_ring.create ~order:5 in
-  for i = 1 to 32 do
-    Pre_race_ring.push_request r i
-  done;
-  ignore (Pre_race_ring.push_requests_and_check_notify r);
-  let rec drain () =
-    match Pre_race_ring.take_request r with
-    | Some v ->
-        Pre_race_ring.push_response r v;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  ignore (Pre_race_ring.push_responses_and_check_notify r)
-
 let bare_roundtrip () =
   let r = Bare_ring.create ~order:5 in
   for i = 1 to 32 do
@@ -230,17 +144,25 @@ let bare_roundtrip () =
   drain ();
   Bare_ring.publish_responses r
 
-let real_roundtrip ?fault ?race ~trace () =
+let pre_race_roundtrip () =
+  let r : (int, int) Pre_race_ring.t = Pre_race_ring.create ~order:5 in
+  for i = 1 to 32 do
+    Pre_race_ring.push_request r i
+  done;
+  ignore (Pre_race_ring.push_requests_and_check_notify r);
+  let rec drain () =
+    match Pre_race_ring.take_request r with
+    | Some v ->
+        Pre_race_ring.push_response r v;
+        drain ()
+    | None -> ()
+  in
+  drain ();
+  ignore (Pre_race_ring.push_responses_and_check_notify r)
+
+(* The real ring with no checker, tracer, injector or detector attached. *)
+let ring_roundtrip () =
   let r : (int, int) Kite_xen.Ring.t = Kite_xen.Ring.create ~order:5 in
-  (match trace with
-  | Some tr -> Kite_xen.Ring.attach_trace r tr ~name:"bench" ~now:(fun () -> 0)
-  | None -> ());
-  (match fault with
-  | Some f -> Kite_xen.Ring.attach_fault r f ~name:"bench"
-  | None -> ());
-  (match race with
-  | Some d -> Kite_xen.Ring.attach_race r d ~name:"bench"
-  | None -> ());
   for i = 1 to 32 do
     Kite_xen.Ring.push_request r i
   done;
@@ -255,369 +177,61 @@ let real_roundtrip ?fault ?race ~trace () =
   drain ();
   ignore (Kite_xen.Ring.push_responses_and_check_notify r)
 
-(* The tier-1 gate for the tracer's zero-cost-when-disabled claim: the
-   instrumented ring with no tracer attached must stay within a generous
-   noise bound of the seed-shaped bare ring. *)
-let measure_ns name f =
-  let open Bechamel in
-  let open Toolkit in
-  let test = Test.make ~name (Staged.stage f) in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) () in
-  let raw =
-    Benchmark.all cfg
-      Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"g" [ test ])
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      (Instance.monotonic_clock :> Measure.witness)
-      raw
-  in
-  let est = ref nan in
-  Hashtbl.iter
-    (fun _ ols ->
-      match Bechamel.Analyze.OLS.estimates ols with
-      | Some [ e ] -> est := e
-      | Some _ | None -> ())
-    results;
-  !est
+(* ------------------------------------------------------------------ *)
+(* Overhead gates                                                       *)
+(* ------------------------------------------------------------------ *)
 
-let trace_overhead () =
-  let measure = measure_ns in
-  print_endline "== disabled-tracer overhead on the ring hot path ==";
-  let bare = measure "bare (seed shape)" bare_roundtrip in
-  let disabled = measure "instrumented, tracer disabled" (real_roundtrip ~trace:None) in
-  let tr = Kite_trace.Trace.create ~name:"bench" () in
-  let traced = measure "tracer enabled" (real_roundtrip ~trace:(Some tr)) in
-  Printf.printf "  bare ring (seed shape):          %10.1f ns/roundtrip
-" bare;
-  Printf.printf "  instrumented, tracer disabled:   %10.1f ns/roundtrip
-"
-    disabled;
-  Printf.printf "  instrumented, tracer enabled:    %10.1f ns/roundtrip
-"
-    traced;
-  let ratio = disabled /. bare in
-  Printf.printf "  disabled/bare ratio: %.2fx (gate: < 2.00x)
-%!" ratio;
-  if Float.is_nan ratio || ratio >= 2.0 then begin
-    print_endline "FAIL: disabled tracer is not within noise of the seed ring";
-    exit 1
-  end;
-  print_endline "OK: disabled tracer within noise of seed"
+(* How a gate measures its two sides.  [Ns] sides are hot-path closures
+   timed by bechamel (ns per call).  [Wall] sides run a whole simulated
+   workload and return its simulated [output] with the wall seconds of
+   the timed window; every run's output must be equal, since observation
+   must not perturb the simulation. *)
+type clock =
+  | Ns of { base : unit -> unit; variant : unit -> unit }
+  | Wall of {
+      output : string;
+      base : unit -> float * float;
+      variant : unit -> float * float;
+    }
 
-(* Same gate for the fault injector: a ring with no injector attached
-   must stay within noise of the seed-shaped bare ring, and attaching an
-   injector whose plan never matches the ring point must stay cheap too
-   (one armed-spec scan per consumed slot). *)
-let fault_overhead () =
-  let measure = measure_ns in
-  print_endline "== disabled-injector overhead on the ring hot path ==";
-  let bare = measure "bare (seed shape)" bare_roundtrip in
-  let disabled =
-    measure "instrumented, no injector" (real_roundtrip ~trace:None)
-  in
-  let f =
-    (* A plan aimed at a different point: fire() is never even reached
-       from the ring, the option match is the entire cost. *)
-    Kite_fault.Fault.create ~name:"bench" ~seed:1
-      [ Kite_fault.Fault.spec ~key:"elsewhere" Kite_fault.Fault.Device_io ]
-  in
-  let armed =
-    measure "injector attached, plan elsewhere"
-      (real_roundtrip ~fault:f ~trace:None)
-  in
-  Printf.printf "  bare ring (seed shape):            %10.1f ns/roundtrip\n"
-    bare;
-  Printf.printf "  instrumented, no injector:         %10.1f ns/roundtrip\n"
-    disabled;
-  Printf.printf "  injector attached, plan elsewhere: %10.1f ns/roundtrip\n"
-    armed;
-  let ratio = disabled /. bare in
-  Printf.printf "  disabled/bare ratio: %.2fx (gate: < 2.00x)\n%!" ratio;
-  if Float.is_nan ratio || ratio >= 2.0 then begin
-    print_endline "FAIL: disabled injector is not within noise of the seed ring";
-    exit 1
-  end;
-  print_endline "OK: disabled injector within noise of seed"
+(* A gate passes when variant/base < [bound] ("ratio"), or failing that
+   when variant - base < [slack] in the clock's unit ("slack").  The
+   compared figures are each side's minimum over the rounds or, for a
+   [paired] gate, the base/variant pair of the round with the lowest
+   ratio, which is never stricter. *)
+type gate = {
+  name : string;
+  base_label : string;
+  variant_label : string;
+  clock : clock;
+  rounds : int;
+  bound : float;
+  slack : float;
+  paired : bool;
+}
 
-(* And for the metric registry: drivers keep [Registry.histogram option]
-   fields matched on the hot path (everything else is a polled closure
-   that costs nothing until sampled), so the gate is the same ring
-   roundtrip plus one option match per batch. *)
-let metrics_roundtrip ~hist () =
-  let r : (int, int) Kite_xen.Ring.t = Kite_xen.Ring.create ~order:5 in
-  for i = 1 to 32 do
-    Kite_xen.Ring.push_request r i
-  done;
-  ignore (Kite_xen.Ring.push_requests_and_check_notify r);
-  let n = ref 0 in
-  let rec drain () =
-    match Kite_xen.Ring.take_request r with
-    | Some v ->
-        incr n;
-        Kite_xen.Ring.push_response r v;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  (match hist with
-  | Some h -> Kite_metrics.Registry.observe h (float_of_int !n)
-  | None -> ());
-  ignore (Kite_xen.Ring.push_responses_and_check_notify r)
-
-let metrics_overhead () =
-  let measure = measure_ns in
-  print_endline "== disabled-metrics overhead on the ring hot path ==";
-  let bare = measure "bare (seed shape)" bare_roundtrip in
-  let disabled =
-    measure "instrumented, no registry" (metrics_roundtrip ~hist:None)
-  in
-  let reg = Kite_metrics.Registry.create ~name:"bench" () in
-  let h = Kite_metrics.Registry.histogram reg "bench_batch" [] in
-  let enabled =
-    measure "registry attached" (metrics_roundtrip ~hist:(Some h))
-  in
-  Printf.printf "  bare ring (seed shape):        %10.1f ns/roundtrip\n" bare;
-  Printf.printf "  instrumented, no registry:     %10.1f ns/roundtrip\n"
-    disabled;
-  Printf.printf "  registry attached:             %10.1f ns/roundtrip\n"
-    enabled;
-  let ratio = disabled /. bare in
-  Printf.printf "  disabled/bare ratio: %.2fx (gate: < 2.00x)\n%!" ratio;
-  if Float.is_nan ratio || ratio >= 2.0 then begin
-    print_endline "FAIL: disabled metrics are not within noise of the seed ring";
-    exit 1
-  end;
-  print_endline "OK: disabled metrics within noise of seed"
-
-(* Race-detector gate: the ISSUE's tighter 1.1x bound, so the measure is
-   hardened against scheduler noise — take the best of three estimates
-   per variant, and accept a small absolute difference as the fallback
-   (sub-ns-per-hook differences are below what OLS resolves reliably on
-   a shared machine). *)
-let race_overhead () =
-  print_endline "== disabled-race-detector overhead on the ring hot path ==";
-  (* The baseline is the instrumented ring as it stood before the race
-     detector (check/trace/fault matches, all disabled): the ratio then
-     isolates the cost the race field adds to the hot path.  The bare
-     seed ring is printed for context; its generous bound lives in the
-     --trace-overhead gate.
-
-     The two variants are measured in interleaved rounds, min over
-     rounds: a frequency or load shift during the run then lands on
-     both sides instead of skewing whichever block it overlapped. *)
-  let baseline = ref infinity and disabled = ref infinity in
-  for round = 1 to 4 do
-    let tag = Printf.sprintf "/%d" round in
-    baseline :=
-      Float.min !baseline
-        (measure_ns ("pre-race instrumented" ^ tag) pre_race_roundtrip);
-    disabled :=
-      Float.min !disabled
-        (measure_ns
-           ("instrumented, detector disabled" ^ tag)
-           (real_roundtrip ~trace:None))
-  done;
-  let baseline = !baseline and disabled = !disabled in
-  let report = Kite_check.Report.create () in
-  let d = Kite_race.Race.create ~name:"bench" report in
-  let enabled =
-    measure_ns "detector attached" (real_roundtrip ~race:d ~trace:None)
-  in
-  Printf.printf "  pre-race instrumented ring:        %10.1f ns/roundtrip\n"
-    baseline;
-  Printf.printf "  instrumented, detector disabled:   %10.1f ns/roundtrip\n"
-    disabled;
-  Printf.printf "  detector attached:                 %10.1f ns/roundtrip\n"
-    enabled;
-  let ratio = disabled /. baseline in
-  (* The absolute-slack arm absorbs per-binary code-layout drift: the
-     identical ring source measures up to ~100 ns/roundtrip apart across
-     binaries that differ only in unrelated linked code.  Real leaks the
-     gate exists for (a hook left unconditionally live, an extra
-     allocation per consumed slot) cost well past this bound on the
-     32-op roundtrip. *)
-  Printf.printf "  disabled/pre-race ratio: %.2fx (gate: < 1.10x or < 120 ns)\n%!"
-    ratio;
-  if
-    Float.is_nan ratio || (ratio >= 1.1 && disabled -. baseline >= 120.0)
-  then begin
-    print_endline
-      "FAIL: disabled race detector is not within noise of the pre-race ring";
-    exit 1
-  end;
-  print_endline "OK: disabled race detector within noise of the pre-race ring"
-
-(* Multi-queue gates.  --mq-scaling prints the 1/2/4/8-queue sweep and
-   asserts the tentpole's claim (>= 2x aggregate throughput at 4 queues
-   vs 1); --mq-overhead asserts the machinery is free when unused (one
-   negotiated queue within 1.1x of the legacy flat single-ring path on
-   an identical workload). *)
-let mq_scaling ~quick () =
-  let outcome = Kite.Experiments.mq_scale ~quick in
-  List.iter Kite_stats.Table.print outcome.Kite.Experiments.tables;
-  let dur = Kite_sim.Time.ms (if quick then 3 else 20) in
-  let one = Kite.Experiments.mq_run_gbps ~duration:dur ~mq:true 1 in
-  let four = Kite.Experiments.mq_run_gbps ~duration:dur ~mq:true 4 in
-  let ratio = four /. one in
-  Printf.printf "  4-queue/1-queue ratio: %.2fx (gate: >= 2.00x)\n%!" ratio;
-  if Float.is_nan ratio || ratio < 2.0 then begin
-    print_endline "FAIL: 4 queues do not scale to 2x of 1 queue";
-    exit 1
-  end;
-  print_endline "OK: multi-queue dataplane scales"
-
-let mq_overhead ~quick () =
-  print_endline "== 1-queue multi-queue overhead vs legacy single ring ==";
-  let legacy, mq1 = Kite.Experiments.mq_overhead ~quick in
-  Printf.printf "  legacy single ring:            %10.2f Gbps\n" legacy;
-  Printf.printf "  multi-queue, 1 queue:          %10.2f Gbps\n" mq1;
-  let ratio = legacy /. mq1 in
-  Printf.printf "  legacy/mq ratio: %.2fx (gate: < 1.10x)\n%!" ratio;
-  if Float.is_nan ratio || ratio >= 1.1 then begin
-    print_endline "FAIL: 1-queue mq mode is not within 1.1x of the legacy path";
-    exit 1
-  end;
-  print_endline "OK: multi-queue machinery free when unused"
-
-(* Flight-recorder gate: ISSUE 7's 1.1x bound with the recorder ARMED —
-   not merely compiled in — on the multi-queue workload.  The simulated
-   Gbps figure is invariant under instrumentation by construction
-   (observer hooks cost zero simulated time), so what this gate measures
-   is WALL CLOCK: how much real time the armed run burns over the
-   tracer-only run.  The trace sink is armed on both sides so the delta
-   isolates the recorder's span observer + ring push (its only
-   per-packet work); interleaved best-of-3 minima and an absolute-time
-   fallback harden the ratio against load shifts on a shared machine. *)
-let flight_overhead ~quick () =
-  print_endline "== armed flight-recorder overhead on the mq workload ==";
+(* Wall clock of the 2-queue mq workload with the tracer armed, plus the
+   layer [set] arms on the variant side: the delta isolates that layer's
+   per-packet work. *)
+let armed_mq ~quick set () =
   let duration = Kite_sim.Time.ms (if quick then 2 else 5) in
-  let run ~flight () =
-    Kite_trace.Trace.set_default (Some (Kite_trace.Trace.sink ()));
-    if flight then
-      Kite_flight.Flight.set_default (Some (Kite_flight.Flight.sink ()));
-    Fun.protect
-      ~finally:(fun () ->
-        Kite.Scenario.teardown_all ();
-        Kite_trace.Trace.set_default None;
-        Kite_flight.Flight.set_default None)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let gbps = Kite.Experiments.mq_run_gbps ~duration ~mq:true 2 in
-        (gbps, Unix.gettimeofday () -. t0))
-  in
-  ignore (run ~flight:true ());
-  (* warmed up; now interleave the variants and keep the minima *)
-  let base = ref infinity and armed = ref infinity in
-  let gbps_base = ref 0. and gbps_armed = ref 0. in
-  for _round = 1 to 3 do
-    let g, dt = run ~flight:false () in
-    if dt < !base then begin
-      base := dt;
-      gbps_base := g
-    end;
-    let g, dt = run ~flight:true () in
-    if dt < !armed then begin
-      armed := dt;
-      gbps_armed := g
-    end
-  done;
-  Printf.printf "  tracer only:     %8.3f s wall  (%.2f Gbps simulated)\n"
-    !base !gbps_base;
-  Printf.printf "  tracer + flight: %8.3f s wall  (%.2f Gbps simulated)\n"
-    !armed !gbps_armed;
-  if Float.abs (!gbps_armed -. !gbps_base) > 1e-9 then begin
-    print_endline
-      "FAIL: arming the flight recorder changed the simulated throughput \
-       (observation must not perturb the simulation)";
-    exit 1
-  end;
-  let ratio = !armed /. !base in
-  Printf.printf "  armed/bare wall ratio: %.2fx (gate: < 1.10x or < 50 ms)\n%!"
-    ratio;
-  if Float.is_nan ratio || (ratio >= 1.1 && !armed -. !base >= 0.05) then begin
-    print_endline
-      "FAIL: armed flight recorder costs more than 1.1x wall clock on the \
-       mq workload";
-    exit 1
-  end;
-  print_endline "OK: armed flight recorder within 1.1x of the tracer-only run"
+  Kite_trace.Trace.set_default (Some (Kite_trace.Trace.sink ()));
+  set true;
+  Fun.protect
+    ~finally:(fun () ->
+      Kite.Scenario.teardown_all ();
+      Kite_trace.Trace.set_default None;
+      set false)
+    (fun () -> timed (fun () -> Kite.Experiments.mq_run ~duration ~mq:true 2))
 
-(* Path-attribution gate: the same wall-clock discipline for the
-   critical-path engine ARMED on the multi-queue drain path.  Both sides
-   arm the tracer (spans must exist for the engine to decompose); the
-   delta isolates the engine's additive span tap (per-stage histogram
-   observes) and the scheduler/occupancy profiler hooks — its only
-   per-packet work.  Simulated Gbps must be bit-identical: observation
-   cannot perturb the simulation. *)
-let path_overhead ~quick () =
-  print_endline "== armed path attribution overhead on the mq workload ==";
-  let duration = Kite_sim.Time.ms (if quick then 2 else 5) in
-  let run ~path () =
-    Kite_trace.Trace.set_default (Some (Kite_trace.Trace.sink ()));
-    if path then
-      Kite_path.Path.set_default (Some (Kite_path.Path.sink ()));
-    Fun.protect
-      ~finally:(fun () ->
-        Kite.Scenario.teardown_all ();
-        Kite_trace.Trace.set_default None;
-        Kite_path.Path.set_default None)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let gbps = Kite.Experiments.mq_run_gbps ~duration ~mq:true 2 in
-        (gbps, Unix.gettimeofday () -. t0))
-  in
-  ignore (run ~path:true ());
-  let base = ref infinity and armed = ref infinity in
-  let gbps_base = ref 0. and gbps_armed = ref 0. in
-  for _round = 1 to 3 do
-    let g, dt = run ~path:false () in
-    if dt < !base then begin
-      base := dt;
-      gbps_base := g
-    end;
-    let g, dt = run ~path:true () in
-    if dt < !armed then begin
-      armed := dt;
-      gbps_armed := g
-    end
-  done;
-  Printf.printf "  tracer only:     %8.3f s wall  (%.2f Gbps simulated)\n"
-    !base !gbps_base;
-  Printf.printf "  tracer + path:   %8.3f s wall  (%.2f Gbps simulated)\n"
-    !armed !gbps_armed;
-  if Float.abs (!gbps_armed -. !gbps_base) > 1e-9 then begin
-    print_endline
-      "FAIL: arming path attribution changed the simulated throughput \
-       (observation must not perturb the simulation)";
-    exit 1
-  end;
-  let ratio = !armed /. !base in
-  Printf.printf "  armed/bare wall ratio: %.2fx (gate: < 1.10x or < 50 ms)\n%!"
-    ratio;
-  if Float.is_nan ratio || (ratio >= 1.1 && !armed -. !base >= 0.05) then begin
-    print_endline
-      "FAIL: armed path attribution costs more than 1.1x wall clock on the \
-       mq workload";
-    exit 1
-  end;
-  print_endline "OK: armed path attribution within 1.1x of the tracer-only run"
-
-(* Adversary-hardening gate: ISSUE 8's 1.1x bound on the HONEST path.
-   The byzantine-frontend hardening added trust-boundary validation to
-   every backend drain — a producer-window check per drain, and a
-   per-request grant-ownership probe, length window and in-flight id
-   claim/release.  An honest frontend pays that validation on every
-   request, so it must be cheap relative to the work each request
-   already does: the baseline is the pre-hardening honest path (drain +
-   grant-copy of each payload, run as a real process episode so the
-   hypercall accounting is live), not an empty ring spin.  Same
-   noise-hardening as the race gate: interleaved rounds, min per
-   variant, absolute slack as the fallback arm. *)
-let adversary_overhead () =
-  print_endline "== trust-boundary validation overhead on the honest path ==";
+(* The honest backend data path before the byzantine-frontend hardening:
+   drain the ring and grant-copy each request's three page segments out
+   of guest memory, as a process episode on the live engine so the
+   hypercall accounting runs.  The variant bolts on exactly what the
+   hardening added: a producer-window check per drain, and per request a
+   length window and ownership probe per segment plus an in-flight id
+   claim and release. *)
+let honest_path () =
   let hv = Kite_xen.Hypervisor.create () in
   let front =
     Kite_xen.Hypervisor.create_domain hv ~name:"front"
@@ -635,32 +249,21 @@ let adversary_overhead () =
   in
   let fid = front.Kite_xen.Domain.id in
   let inflight = Hashtbl.create 64 in
-  (* The honest data path as it stood before the hardening: drain the
-     ring and grant-copy each request's payload out of guest memory.
-     [validate] bolts on exactly what the hardening added per request. *)
   let roundtrip ~validate () =
     let r : (int, int) Kite_xen.Ring.t = Kite_xen.Ring.create ~order:5 in
     for i = 1 to 32 do
       Kite_xen.Ring.push_request r i
     done;
     ignore (Kite_xen.Ring.push_requests_and_check_notify r);
-    (* The grant copies hypercall into the simulator's CPU accounting,
-       so the drain runs as a process episode on the live engine. *)
     Kite_xen.Hypervisor.spawn hv back ~name:"bench-drain" (fun () ->
-        (* Once per drain: the published producer index. *)
         if validate && not (Kite_xen.Ring.request_producer_valid r) then
           failwith "producer window";
-        (* A three-segment request: one full-page copy per segment, the
-           blk backend's data unit. *)
         let segs = 3 in
         let rec drain () =
           match Kite_xen.Ring.take_request r with
           | Some v ->
               let len = Kite_xen.Page.size in
               if validate then begin
-                (* Exactly the backends' honest path: length window and
-                   ownership probe per segment, in-flight id claim per
-                   request... *)
                 for s = 0 to segs - 1 do
                   if len < 0 || len > Kite_xen.Page.size then failwith "len";
                   match Kite_xen.Grant_table.owner gt grefs.((v + s) land 31)
@@ -677,7 +280,6 @@ let adversary_overhead () =
                   (Kite_xen.Grant_table.copy_from_granted gt ~caller:back
                      grefs.((v + s) land 31) ~off:0 ~len)
               done;
-              (* ...and its release on completion. *)
               if validate then Hashtbl.remove inflight v;
               Kite_xen.Ring.push_response r v;
               drain ()
@@ -687,86 +289,57 @@ let adversary_overhead () =
         ignore (Kite_xen.Ring.push_responses_and_check_notify r));
     Kite_xen.Hypervisor.run hv
   in
-  (* Wall-clock noise (CPU contention, GC phase) swings both variants
-     together, so judge adjacent interleaved measurements as a pair and
-     keep the round with the least interference: min of the per-round
-     ratios, not a ratio of cross-round mins. *)
-  let baseline = ref 1.0 and validated = ref infinity in
-  for round = 1 to 6 do
-    let tag = Printf.sprintf "/%d" round in
-    let b = measure_ns ("unvalidated path" ^ tag) (roundtrip ~validate:false) in
-    let v = measure_ns ("validated path" ^ tag) (roundtrip ~validate:true) in
-    if (not (Float.is_nan (v /. b))) && v /. b < !validated /. !baseline
-    then begin
-      baseline := b;
-      validated := v
-    end
-  done;
-  let baseline = !baseline and validated = !validated in
-  Printf.printf "  honest path, no validation: %10.1f ns/roundtrip\n" baseline;
-  Printf.printf "  honest path + validation:   %10.1f ns/roundtrip\n" validated;
-  let ratio = validated /. baseline in
-  Printf.printf
-    "  validated/baseline ratio: %.2fx (gate: < 1.10x or < 120 ns)\n%!" ratio;
-  if Float.is_nan ratio || (ratio >= 1.1 && validated -. baseline >= 120.0)
-  then begin
-    print_endline
-      "FAIL: trust-boundary validation costs more than 1.1x on the honest \
-       path";
-    exit 1
-  end;
-  print_endline
-    "OK: honest-path validation within 1.1x of the pre-hardening path"
+  Ns { base = roundtrip ~validate:false; variant = roundtrip ~validate:true }
 
-(* Swarm-harness gate: the population generator (profile draws, session
-   bookkeeping, latency histogram, SLO windows) layered on Openloop must
-   cost < 1.1x the plain Openloop path when its extras are disabled —
-   churn off (single-request sessions), no think time, no slow clients,
-   no modulation, no impairments.  Both sides fire the identical
-   blkfront write through the split-driver storage path; the delta
-   isolates the swarm machinery. *)
-let swarm_overhead ~quick () =
-  print_endline "== swarm harness overhead vs plain open loop ==";
+(* [n] identical blkfront writes through the split-driver storage path,
+   fired at a fixed Poisson rate: by plain Openloop on the base side, by
+   the swarm harness on the variant side with churn, think time, slow
+   clients, modulation and impairments disabled.  The delta isolates the
+   swarm machinery (profile draws, session bookkeeping, latency
+   histogram, SLO windows). *)
+let swarm_writes ~quick =
   let module Swarm = Kite_swarm.Swarm in
   let module Profile = Kite_swarm.Profile in
   let n = if quick then 1_500 else 15_000 in
   let rate = 5_000. in
-  let blk_data seq =
-    Bytes.make
-      (8 * Kite_drivers.Blkfront.sector_size)
-      (Char.chr (Char.code 'a' + (seq mod 26)))
-  in
   let with_storage body =
     let s = Kite.Scenario.storage ~flavor:Kite.Scenario.Kite () in
     Fun.protect
       ~finally:(fun () -> Kite.Scenario.teardown_all ())
       (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let completed = body s in
-        (completed, Unix.gettimeofday () -. t0))
+        let completed, dt = timed (fun () -> body s) in
+        if completed <> n then
+          failwith (Printf.sprintf "swarm gate: %d of %d writes" completed n);
+        (float_of_int completed, dt))
   in
   let fire_write front seq =
     Kite_drivers.Blkfront.write front
       ~sector:(8 * (seq mod 1024))
-      (blk_data seq);
+      (Bytes.make
+         (8 * Kite_drivers.Blkfront.sector_size)
+         (Char.chr (Char.code 'a' + (seq mod 26))));
     true
   in
-  let run_openloop () =
+  let drive (s : Kite.Scenario.blk) start =
+    let done_ = ref None in
+    Kite.Scenario.when_blk_ready s (fun () ->
+        start (fun completed -> done_ := Some completed));
+    Kite_xen.Hypervisor.run_for s.Kite.Scenario.bhv (Kite_sim.Time.sec 120);
+    match !done_ with
+    | Some completed -> completed
+    | None -> failwith "swarm gate: the run did not drain"
+  in
+  let openloop () =
     with_storage (fun s ->
-        let done_ = ref None in
-        Kite.Scenario.when_blk_ready s (fun () ->
+        drive s (fun k ->
             Kite_bench_tools.Openloop.run ~sched:s.Kite.Scenario.bsched ~rate
               ~stop_after:n
               ~duration:(Kite_sim.Time.sec 60)
               ~fire:(fire_write s.Kite.Scenario.blkfront)
-              ~on_done:(fun r -> done_ := Some r)
-              ());
-        Kite_xen.Hypervisor.run_for s.Kite.Scenario.bhv (Kite_sim.Time.sec 120);
-        match !done_ with
-        | Some r -> r.Kite_bench_tools.Openloop.completed
-        | None -> failwith "swarm-overhead: open loop did not drain")
+              ~on_done:(fun r -> k r.Kite_bench_tools.Openloop.completed)
+              ()))
   in
-  let plain_profile =
+  let profile =
     {
       Profile.p_name = "plain";
       arrivals = Profile.Poisson rate;
@@ -779,127 +352,248 @@ let swarm_overhead ~quick () =
       diurnal = None;
     }
   in
-  let run_swarm () =
+  let swarm () =
     with_storage (fun s ->
-        let done_ = ref None in
-        Kite.Scenario.when_blk_ready s (fun () ->
+        drive s (fun k ->
             let seq = ref 0 in
+            let request ~size:_ ~slow:_ =
+              incr seq;
+              fire_write s.Kite.Scenario.blkfront !seq
+            in
             let driver =
               {
                 Swarm.d_app = "blk";
                 d_connect =
                   (fun () ->
-                    Some
-                      {
-                        Swarm.c_request =
-                          (fun ~size:_ ~slow:_ ->
-                            incr seq;
-                            fire_write s.Kite.Scenario.blkfront !seq);
-                        c_close = (fun () -> ());
-                      });
+                    Some { Swarm.c_request = request; c_close = ignore });
               }
             in
-            Swarm.run ~sched:s.Kite.Scenario.bsched ~profile:plain_profile
-              ~clients:n ~driver
-              ~on_done:(fun r -> done_ := Some r)
-              ());
-        Kite_xen.Hypervisor.run_for s.Kite.Scenario.bhv (Kite_sim.Time.sec 120);
-        match !done_ with
-        | Some r -> r.Swarm.sw_completed
-        | None -> failwith "swarm-overhead: swarm did not drain")
+            Swarm.run ~sched:s.Kite.Scenario.bsched ~profile ~clients:n
+              ~driver
+              ~on_done:(fun r -> k r.Swarm.sw_completed)
+              ()))
   in
-  ignore (run_swarm ());
-  (* warmed up; now interleave the variants and keep the minima *)
-  let base = ref infinity and armed = ref infinity in
-  let base_n = ref 0 and armed_n = ref 0 in
-  for _round = 1 to 3 do
-    let c, dt = run_openloop () in
-    if dt < !base then base := dt;
-    base_n := c;
-    let c, dt = run_swarm () in
-    if dt < !armed then armed := dt;
-    armed_n := c
-  done;
-  Printf.printf "  plain open loop: %8.3f s wall  (%d writes)\n" !base !base_n;
-  Printf.printf "  swarm harness:   %8.3f s wall  (%d writes)\n" !armed
-    !armed_n;
-  if !base_n <> n || !armed_n <> n then begin
-    Printf.printf
-      "FAIL: request counts diverged (open loop %d, swarm %d, wanted %d)\n"
-      !base_n !armed_n n;
-    exit 1
-  end;
-  let ratio = !armed /. !base in
-  Printf.printf "  swarm/plain wall ratio: %.2fx (gate: < 1.10x or < 50 ms)\n%!"
-    ratio;
-  if Float.is_nan ratio || (ratio >= 1.1 && !armed -. !base >= 0.05) then begin
-    print_endline
-      "FAIL: swarm harness costs more than 1.1x the plain open-loop path \
-       with impairments and churn disabled";
-    exit 1
-  end;
-  print_endline "OK: swarm harness within 1.1x of the plain open-loop path"
+  Wall { output = "writes"; base = openloop; variant = swarm }
 
-(* Every overhead gate in sequence (the @gates alias): any failure exits
-   nonzero immediately, so a clean exit means all nine held. *)
-let gates ~quick () =
-  trace_overhead ();
-  print_newline ();
-  fault_overhead ();
-  print_newline ();
-  metrics_overhead ();
-  print_newline ();
-  race_overhead ();
-  print_newline ();
-  mq_overhead ~quick ();
-  print_newline ();
-  flight_overhead ~quick ();
-  print_newline ();
-  path_overhead ~quick ();
-  print_newline ();
-  adversary_overhead ();
-  print_newline ();
-  swarm_overhead ~quick ();
-  print_endline "\nall nine overhead gates passed."
+let gates ~quick =
+  let sink set make on = set (if on then Some (make ()) else None) in
+  [
+    (* The disabled check/trace/fault/metrics/race hooks on the ring hot
+       path must stay within a generous noise bound of the seed ring. *)
+    {
+      name = "hooks";
+      base_label = "bare ring (seed shape)";
+      variant_label = "instrumented, hooks disabled";
+      clock = Ns { base = bare_roundtrip; variant = ring_roundtrip };
+      rounds = 1;
+      bound = 2.0;
+      slack = 0.;
+      paired = false;
+    };
+    (* The race machinery's marginal cost, against the ring as it stood
+       before the detector.  The slack absorbs per-binary code-layout
+       drift: the identical ring source measures up to ~100 ns/roundtrip
+       apart across binaries that differ only in unrelated linked code.
+       A C-call allocation per consumed slot costs well past it; a
+       two-word inline allocation per slot (~60 ns a roundtrip) does
+       not, and hides in the noise. *)
+    {
+      name = "race";
+      base_label = "pre-race instrumented ring";
+      variant_label = "instrumented, detector disabled";
+      clock = Ns { base = pre_race_roundtrip; variant = ring_roundtrip };
+      rounds = 4;
+      bound = 1.1;
+      slack = 120.;
+      paired = false;
+    };
+    {
+      name = "flight";
+      base_label = "tracer only";
+      variant_label = "tracer + flight";
+      clock =
+        Wall
+          {
+            output = "Gbps";
+            base = armed_mq ~quick ignore;
+            variant =
+              armed_mq ~quick
+                (sink Kite_flight.Flight.set_default Kite_flight.Flight.sink);
+          };
+      rounds = 3;
+      bound = 1.1;
+      slack = 0.05;
+      paired = false;
+    };
+    {
+      name = "path";
+      base_label = "tracer only";
+      variant_label = "tracer + path";
+      clock =
+        Wall
+          {
+            output = "Gbps";
+            base = armed_mq ~quick ignore;
+            variant =
+              armed_mq ~quick
+                (sink Kite_path.Path.set_default Kite_path.Path.sink);
+          };
+      rounds = 3;
+      bound = 1.1;
+      slack = 0.05;
+      paired = false;
+    };
+    (* Paired: each ~80 us side runs whole engine episodes, whose GC and
+       scheduler noise swings both sides of one round together.  On a
+       shared 2-vCPU VM the ratio of per-side minima read 1.14-1.22x in
+       three of five runs; the best-round ratio read 0.76-1.06x. *)
+    {
+      name = "adversary";
+      base_label = "honest path, no validation";
+      variant_label = "honest path + validation";
+      clock = honest_path ();
+      rounds = 6;
+      bound = 1.1;
+      slack = 120.;
+      paired = true;
+    };
+    {
+      name = "swarm";
+      base_label = "plain open loop";
+      variant_label = "swarm harness";
+      clock = swarm_writes ~quick;
+      rounds = 3;
+      bound = 1.1;
+      slack = 0.05;
+      paired = false;
+    };
+  ]
+
+(* One run of one side: its cost in the clock's unit, and its simulated
+   output ([nan] for ns sides, which have none). *)
+let run_side clock ~variant =
+  match clock with
+  | Ns s -> (measure_ns (if variant then s.variant else s.base), nan)
+  | Wall s ->
+      let out, dt = (if variant then s.variant else s.base) () in
+      (dt, out)
+
+(* Interleaved rounds, base then variant: a frequency or load shift
+   during the run then lands on both sides instead of skewing whichever
+   block it overlapped.  Wall sides warm up with one variant run first.
+   Returns a summary row and the verdict. *)
+let run_gate g =
+  Printf.printf "== %s ==\n%!" g.name;
+  (match g.clock with Wall s -> ignore (s.variant ()) | Ns _ -> ());
+  let keep (b0, v0) (b, v) =
+    if not g.paired then (Float.min b0 b, Float.min v0 v)
+    else if v /. b < v0 /. b0 then (b, v)
+    else (b0, v0)
+  in
+  let outputs = ref [] in
+  let base, variant =
+    List.fold_left
+      (fun acc _round ->
+        let b, ob = run_side g.clock ~variant:false in
+        let v, ov = run_side g.clock ~variant:true in
+        outputs := !outputs @ [ ob; ov ];
+        keep acc (b, v))
+      ((if g.paired then 1. else infinity), infinity)
+      (List.init g.rounds Fun.id)
+  in
+  let show, same_output =
+    match g.clock with
+    | Ns _ -> (Printf.sprintf "%.1f ns", true)
+    | Wall s ->
+        Printf.printf "  simulated %s per round, base then variant: %s\n"
+          s.output
+          (String.concat " " (List.map (Printf.sprintf "%.12g") !outputs));
+        ( Printf.sprintf "%.3f s",
+          List.for_all (( = ) (List.hd !outputs)) !outputs )
+  in
+  Printf.printf "  %-32s %12s\n  %-32s %12s\n" g.base_label (show base)
+    g.variant_label (show variant);
+  let ratio = variant /. base in
+  let delta = (if variant >= base then "+" else "") ^ show (variant -. base) in
+  let bound =
+    Printf.sprintf "< %.2fx" g.bound
+    ^ (if g.slack > 0. then " or < " ^ show g.slack else "")
+    ^ if g.paired then ", best round" else ""
+  in
+  let verdict =
+    if not same_output then Error "FAIL (simulated output changed)"
+    else if ratio < g.bound then Ok "ratio"
+    else if variant -. base < g.slack then Ok ("slack (" ^ delta ^ ")")
+    else Error "FAIL"
+  in
+  let shown = match verdict with Ok arm -> "OK by " ^ arm | Error e -> e in
+  Printf.printf "  %.2fx, %s (gate: %s): %s\n%!" ratio delta bound shown;
+  let cell = match verdict with Ok arm | Error arm -> arm in
+  let ratio_cell = Printf.sprintf "%.2fx" ratio in
+  ( [ g.name; show base; show variant; ratio_cell; bound; cell ],
+    Result.is_ok verdict )
+
+let run_gates rows =
+  let results =
+    List.map
+      (fun g ->
+        let r = run_gate g in
+        print_newline ();
+        r)
+      rows
+  in
+  let t =
+    Kite_stats.Table.create ~title:"Overhead gates"
+      ~columns:
+        Kite_stats.Table.
+          [
+            ("gate", Left); ("baseline", Right); ("variant", Right);
+            ("ratio", Right); ("bound", Left); ("passed by", Left);
+          ]
+  in
+  List.iter (fun (row, _) -> Kite_stats.Table.add_row t row) results;
+  Kite_stats.Table.print t;
+  if List.exists (fun (_, ok) -> not ok) results then exit 1
 
 let () =
   let args = Array.to_list Sys.argv in
   let quick = List.mem "--quick" args in
-  let micro = List.mem "--micro" args in
-  let only =
-    let rec find = function
-      | "--only" :: id :: _ -> Some id
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+  (* An unknown flag would otherwise fall through to the full-scale run. *)
+  let known = [ "--quick"; "--list"; "--gates"; "--gate"; "--only" ] in
+  List.iter
+    (fun a ->
+      if String.starts_with ~prefix:"--" a && not (List.mem a known) then (
+        Printf.eprintf "unknown option %s\n" a;
+        exit 2))
+    args;
+  let rec value_of flag = function
+    | f :: v :: _ when f = flag -> Some v
+    | _ :: rest -> value_of flag rest
+    | [] -> None
   in
   if List.mem "--list" args then list_experiments ()
-  else if List.mem "--trace-overhead" args then trace_overhead ()
-  else if List.mem "--fault-overhead" args then fault_overhead ()
-  else if List.mem "--metrics-overhead" args then metrics_overhead ()
-  else if List.mem "--race-overhead" args then race_overhead ()
-  else if List.mem "--mq-scaling" args then mq_scaling ~quick ()
-  else if List.mem "--mq-overhead" args then mq_overhead ~quick ()
-  else if List.mem "--flight-overhead" args then flight_overhead ~quick ()
-  else if List.mem "--path-overhead" args then path_overhead ~quick ()
-  else if List.mem "--adversary-overhead" args then adversary_overhead ()
-  else if List.mem "--swarm-overhead" args then swarm_overhead ~quick ()
-  else if List.mem "--gates" args then gates ~quick ()
-  else if micro then micro_tests ()
-  else begin
-    Printf.printf "Kite reproduction harness (%s scale)\n"
-      (if quick then "quick" else "full");
-    (match only with
-    | Some id -> (
-        match
-          List.find_opt (fun (i, _, _) -> i = id) Kite.Experiments.all
-        with
-        | Some exp -> run_one ~quick exp
-        | None ->
-            Printf.printf "unknown experiment %s\n" id;
-            list_experiments ();
-            exit 1)
-    | None -> List.iter (run_one ~quick) Kite.Experiments.all);
-    print_endline "\ndone."
-  end
+  else if List.mem "--gates" args then run_gates (gates ~quick)
+  else
+    match value_of "--gate" args with
+    | Some name -> (
+        match List.filter (fun g -> g.name = name) (gates ~quick) with
+        | [] ->
+            Printf.printf "unknown gate %s; gates: %s\n" name
+              (String.concat ", " (List.map (fun g -> g.name) (gates ~quick)));
+            exit 1
+        | rows -> run_gates rows)
+    | None ->
+        Printf.printf "Kite reproduction harness (%s scale)\n"
+          (if quick then "quick" else "full");
+        (match value_of "--only" args with
+        | Some id -> (
+            match
+              List.find_opt (fun (i, _, _) -> i = id) Kite.Experiments.all
+            with
+            | Some exp -> run_one ~quick exp
+            | None ->
+                Printf.printf "unknown experiment %s\n" id;
+                list_experiments ();
+                exit 1)
+        | None -> List.iter (run_one ~quick) Kite.Experiments.all);
+        print_endline "\ndone."

@@ -42,6 +42,76 @@ let for_experiments id run_one =
         `Ok ()
     | None -> `Error (false, "unknown experiment " ^ id ^ "; try 'list'")
 
+(* Set a run-wide sink and hand it back. *)
+let arm set sink =
+  set (Some sink);
+  sink
+
+(* Run the selected experiments under whichever run-wide sinks the caller
+   armed, once per schedule seed in [seeds], tearing each experiment's
+   testbeds down so the end-of-run audits run ([before_teardown] runs
+   first, while they are still live).  Every sink and the schedule seed
+   are cleared afterwards, whatever happens; [render] then runs only if
+   every id resolved.  [progress] is the verb of a per-experiment line. *)
+let run_under ~full ?(seeds = [ None ]) ?progress ?(before_teardown = ignore)
+    id render =
+  let quick = not full in
+  let rec sweep = function
+    | [] -> `Ok ()
+    | seed :: rest -> (
+        Kite.Scenario.set_schedule_seed seed;
+        match
+          for_experiments id (fun (eid, _desc, f) ->
+              Option.iter
+                (fun verb ->
+                  Printf.printf "%s %s%s...\n%!" verb eid
+                    (match seed with
+                    | Some s -> Printf.sprintf " under schedule seed %d" s
+                    | None -> ""))
+                progress;
+              ignore (f ~quick);
+              before_teardown ();
+              Kite.Scenario.teardown_all ())
+        with
+        | `Ok () -> sweep rest
+        | `Error _ as e -> e)
+  in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () ->
+        Kite.Scenario.set_schedule_seed None;
+        Kite_check.Check.set_default None;
+        Kite_race.Race.set_default None;
+        Kite_trace.Trace.set_default None;
+        Kite_fault.Fault.set_default None;
+        Kite_metrics.Registry.set_default None;
+        Kite_path.Path.set_default None;
+        Kite_flight.Flight.set_default None)
+      (fun () -> sweep seeds)
+  in
+  match outcome with `Error _ as e -> e | `Ok () -> render ()
+
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let strict_arg =
+  let doc = "Exit nonzero on warnings too, not just errors." in
+  Arg.(value & flag & info [ "strict" ] ~doc)
+
+let findings_json_arg = json_arg "Emit the findings as JSON instead of text."
+
+(* Print the checker's findings; exit 1 on errors, or on warnings too
+   under [--strict]. *)
+let findings ~json ~strict report =
+  if json then print_string (Kite_check.Report.to_json report)
+  else Kite_check.Report.print report;
+  let errors = Kite_check.Report.errors report in
+  let warnings = Kite_check.Report.warnings report in
+  if errors > 0 || (strict && warnings > 0) then exit 1;
+  `Ok ()
+
+let checker report =
+  Kite_check.Check.set_default (Some (Kite_check.Check.default_config, report))
+
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -86,43 +156,20 @@ let check_cmd =
     in
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let strict_arg =
-    let doc = "Exit nonzero on warnings too, not just errors." in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the findings as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let run full strict json id =
     let report = Kite_check.Report.create () in
-    Kite_check.Check.set_default
-      (Some (Kite_check.Check.default_config, report));
-    let quick = not full in
-    let outcome =
-      for_experiments id (fun (eid, _desc, f) ->
-          if not json then Printf.printf "checking %s...\n%!" eid;
-          ignore (f ~quick);
-          (* Tear the experiment's testbeds down so the leak audits run. *)
-          Kite.Scenario.teardown_all ())
-    in
-    Kite_check.Check.set_default None;
-    match outcome with
-    | `Error _ as e -> e
-    | `Ok () ->
-        if json then print_string (Kite_check.Report.to_json report)
-        else Kite_check.Report.print report;
-        let errors = Kite_check.Report.errors report in
-        let warnings = Kite_check.Report.warnings report in
-        if errors > 0 || (strict && warnings > 0) then exit 1;
-        `Ok ()
+    checker report;
+    run_under ~full
+      ?progress:(if json then None else Some "checking")
+      id
+      (fun () -> findings ~json ~strict report)
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Run experiments under the protocol-invariant checker (grants, \
           rings, xenstore, scheduler) and report violations.")
-    Term.(ret (const run $ full_arg $ strict_arg $ json_arg $ id_arg))
+    Term.(ret (const run $ full_arg $ strict_arg $ findings_json_arg $ id_arg))
 
 (* ------------------------------------------------------------------ *)
 (* race                                                                *)
@@ -144,54 +191,17 @@ let race_cmd =
     let doc = "First schedule seed of the sweep (default 1)." in
     Arg.(value & opt int 1 & info [ "schedule-seed" ] ~docv:"SEED" ~doc)
   in
-  let strict_arg =
-    let doc = "Exit nonzero on warnings too, not just errors." in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the findings as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let run full strict json sweep seed0 id =
     let report = Kite_check.Report.create () in
     (* One shared report: the race detector and the protocol checker are
        co-oracles for every schedule explored. *)
-    let sink = Kite_race.Race.sink ~report () in
-    Kite_race.Race.set_default (Some sink);
-    Kite_check.Check.set_default
-      (Some (Kite_check.Check.default_config, report));
-    let quick = not full in
-    let sweep = max 1 sweep in
-    let outcome = ref (`Ok ()) in
-    (try
-       for s = seed0 to seed0 + sweep - 1 do
-         Kite.Scenario.set_schedule_seed (Some s);
-         match
-           for_experiments id (fun (eid, _desc, f) ->
-               if not json then
-                 Printf.printf "racing %s under schedule seed %d...\n%!" eid
-                   s;
-               ignore (f ~quick);
-               Kite.Scenario.teardown_all ())
-         with
-         | `Ok () -> ()
-         | `Error _ as e ->
-             outcome := e;
-             raise Exit
-       done
-     with Exit -> ());
-    Kite.Scenario.set_schedule_seed None;
-    Kite_check.Check.set_default None;
-    Kite_race.Race.set_default None;
-    match !outcome with
-    | `Error _ as e -> e
-    | `Ok () ->
-        if json then print_string (Kite_check.Report.to_json report)
-        else Kite_check.Report.print report;
-        let errors = Kite_check.Report.errors report in
-        let warnings = Kite_check.Report.warnings report in
-        if errors > 0 || (strict && warnings > 0) then exit 1;
-        `Ok ()
+    Kite_race.Race.set_default (Some (Kite_race.Race.sink ~report ()));
+    checker report;
+    run_under ~full
+      ~seeds:(List.init (max 1 sweep) (fun i -> Some (seed0 + i)))
+      ?progress:(if json then None else Some "racing")
+      id
+      (fun () -> findings ~json ~strict report)
   in
   Cmd.v
     (Cmd.info "race"
@@ -201,7 +211,7 @@ let race_cmd =
           checker as co-oracle.")
     Term.(
       ret
-        (const run $ full_arg $ strict_arg $ json_arg $ sweep_arg
+        (const run $ full_arg $ strict_arg $ findings_json_arg $ sweep_arg
        $ seed0_arg $ id_arg))
 
 (* ------------------------------------------------------------------ *)
@@ -212,10 +222,6 @@ let lint_cmd =
   let paths_arg =
     let doc = "Files or directories to lint (default: lib)." in
     Arg.(value & pos_all string [ "lib" ] & info [] ~docv:"PATH" ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the findings as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let run json paths =
     let report = Kite_check.Report.create () in
@@ -233,7 +239,7 @@ let lint_cmd =
          "Statically check the sources for instrumentation discipline: \
           guarded hot hooks, paired grant map/unmap and watch/unwatch, \
           testbed teardown registration.")
-    Term.(const run $ json_arg $ paths_arg)
+    Term.(const run $ findings_json_arg $ paths_arg)
 
 (* ------------------------------------------------------------------ *)
 (* boot                                                                *)
@@ -407,19 +413,8 @@ let trace_cmd =
     Arg.(value & flag & info [ "fail-on-drop" ] ~doc)
   in
   let run full out breakdown hypercalls fail_on_drop id =
-    let sink = Kite_trace.Trace.sink () in
-    Kite_trace.Trace.set_default (Some sink);
-    let quick = not full in
-    let outcome =
-      for_experiments id (fun (eid, _desc, f) ->
-          Printf.printf "tracing %s...\n%!" eid;
-          ignore (f ~quick);
-          Kite.Scenario.teardown_all ())
-    in
-    Kite_trace.Trace.set_default None;
-    match outcome with
-    | `Error _ as e -> e
-    | `Ok () ->
+    let sink = arm Kite_trace.Trace.set_default (Kite_trace.Trace.sink ()) in
+    run_under ~full ~progress:"tracing" id (fun () ->
         let ts = Kite_trace.Trace.traces sink in
         Kite_stats.Table.print (Kite.Trace_report.summary_table ts);
         (match out with
@@ -442,7 +437,7 @@ let trace_cmd =
             lost;
           exit 1
         end;
-        `Ok ()
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "trace"
@@ -482,8 +477,7 @@ let faults_cmd =
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
   in
   let json_arg =
-    let doc = "Emit the injection/recovery log as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    json_arg "Emit the injection/recovery log as JSON instead of text."
   in
   let run full seed plan_file json id =
     let plan_r =
@@ -506,21 +500,14 @@ let faults_cmd =
     in
     match plan_r with
     | Error msg -> `Error (false, "bad plan: " ^ msg)
-    | Ok plan -> (
-        let sink = Kite_fault.Fault.sink ~seed plan in
-        Kite_fault.Fault.set_default (Some sink);
-        let quick = not full in
-        let outcome =
-          for_experiments id (fun (eid, _desc, f) ->
-              if not json then
-                Printf.printf "injecting faults into %s...\n%!" eid;
-              ignore (f ~quick);
-              Kite.Scenario.teardown_all ())
+    | Ok plan ->
+        let sink =
+          arm Kite_fault.Fault.set_default (Kite_fault.Fault.sink ~seed plan)
         in
-        Kite_fault.Fault.set_default None;
-        match outcome with
-        | `Error _ as e -> e
-        | `Ok () ->
+        run_under ~full
+          ?progress:(if json then None else Some "injecting faults into")
+          id
+          (fun () ->
             let fs = Kite_fault.Fault.faults sink in
             if json then print_string (Kite_fault.Fault.to_json fs)
             else Kite_fault.Fault.print fs;
@@ -538,26 +525,17 @@ let faults_cmd =
 (* metrics / top                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared harness: run the selected experiments with a metrics sink set
-   as the run default (every testbed machine auto-attaches a registry
-   and its Dom0 sampler), tear down, then hand the collected registries
-   to [render]. *)
+(* Run the selected experiments with a metrics sink armed (every testbed
+   machine attaches a registry and its Dom0 sampler), then hand the
+   collected registries to [render]. *)
 let with_metrics ~full ~progress id render =
-  let sink = Kite_metrics.Registry.sink () in
-  Kite_metrics.Registry.set_default (Some sink);
-  let quick = not full in
-  let outcome =
-    for_experiments id (fun (eid, _desc, f) ->
-        if progress then Printf.printf "measuring %s...\n%!" eid;
-        ignore (f ~quick);
-        Kite.Scenario.teardown_all ())
+  let sink =
+    arm Kite_metrics.Registry.set_default (Kite_metrics.Registry.sink ())
   in
-  Kite_metrics.Registry.set_default None;
-  match outcome with
-  | `Error _ as e -> e
-  | `Ok () ->
+  run_under ~full ?progress:(if progress then Some "measuring" else None) id
+    (fun () ->
       render (Kite_metrics.Registry.registries sink);
-      `Ok ()
+      `Ok ())
 
 let metrics_id_arg =
   let doc =
@@ -566,10 +544,7 @@ let metrics_id_arg =
   Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
 
 let metrics_cmd =
-  let json_arg =
-    let doc = "Emit every registry (values + alerts) as JSON." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
+  let json_arg = json_arg "Emit every registry (values + alerts) as JSON." in
   let prom_arg =
     let doc =
       "Write the Prometheus text exposition of all registries to $(docv) \
@@ -663,8 +638,7 @@ let path_cmd =
     Arg.(value & flag & info [ "saturation" ] ~doc)
   in
   let json_arg =
-    let doc = "Emit every engine (waterfall + CPU profile) as JSON." in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    json_arg "Emit every engine (waterfall + CPU profile) as JSON."
   in
   let run full waterfall saturation json id =
     let quick = not full in
@@ -678,21 +652,12 @@ let path_cmd =
       (* The engine decomposes the tracer's spans, so arm both sinks:
          every testbed machine gets a tracer and a path engine tapping
          it (plus the CPU-profiler hooks). *)
-      let tsink = Kite_trace.Trace.sink () in
-      Kite_trace.Trace.set_default (Some tsink);
-      let psink = Kite_path.Path.sink () in
-      Kite_path.Path.set_default (Some psink);
-      let outcome =
-        for_experiments id (fun (eid, _desc, f) ->
-            if not json then Printf.printf "attributing %s...\n%!" eid;
-            ignore (f ~quick);
-            Kite.Scenario.teardown_all ())
-      in
-      Kite_path.Path.set_default None;
-      Kite_trace.Trace.set_default None;
-      match outcome with
-      | `Error _ as e -> e
-      | `Ok () ->
+      ignore (arm Kite_trace.Trace.set_default (Kite_trace.Trace.sink ()));
+      let psink = arm Kite_path.Path.set_default (Kite_path.Path.sink ()) in
+      run_under ~full
+        ?progress:(if json then None else Some "attributing")
+        id
+        (fun () ->
           let ps = Kite_path.Path.paths psink in
           if json then print_string (Kite_path.Path.to_json ps)
           else begin
@@ -702,7 +667,7 @@ let path_cmd =
               Kite_stats.Table.print (Kite.Path_report.cpu_table ps)
             end
           end;
-          `Ok ()
+          `Ok ())
     end
   in
   Cmd.v
@@ -724,44 +689,30 @@ let path_cmd =
 (* Shared harness: arm every layer the recorder taps — checker (findings
    + the recorders' own audits), tracer (spans), metrics (alert edges,
    deltas), the path engine (incident waterfalls) and the flight sink
-   itself — run the selected experiments,
-   tear down, then hand the recorders and the shared report to [render].
+   itself — run the selected experiments, then hand the recorders and
+   the shared report to [render].
    No fault sink: a default injection plan would perturb the experiments
    (restart-recovery arms its own note-only injector when none is set).
    [before_teardown] runs between an experiment and its teardown, while
    the testbeds are still live — the manual-trigger hook. *)
 let with_flight ~full ~progress ?(before_teardown = fun _ -> ()) id render =
   let report = Kite_check.Report.create () in
-  Kite_check.Check.set_default (Some (Kite_check.Check.default_config, report));
-  let tsink = Kite_trace.Trace.sink () in
-  Kite_trace.Trace.set_default (Some tsink);
-  let msink = Kite_metrics.Registry.sink () in
-  Kite_metrics.Registry.set_default (Some msink);
-  let psink = Kite_path.Path.sink () in
-  Kite_path.Path.set_default (Some psink);
-  let fsink = Kite_flight.Flight.sink () in
-  Kite_flight.Flight.set_default (Some fsink);
-  let quick = not full in
-  let outcome =
-    for_experiments id (fun (eid, _desc, f) ->
-        if progress then Printf.printf "recording %s...\n%!" eid;
-        ignore (f ~quick);
-        before_teardown (Kite_flight.Flight.flights fsink);
-        Kite.Scenario.teardown_all ())
-  in
-  Kite_flight.Flight.set_default None;
-  Kite_path.Path.set_default None;
-  Kite_metrics.Registry.set_default None;
-  Kite_trace.Trace.set_default None;
-  Kite_check.Check.set_default None;
-  match outcome with
-  | `Error _ as e -> e
-  | `Ok () -> render (Kite_flight.Flight.flights fsink) report
+  checker report;
+  ignore (arm Kite_trace.Trace.set_default (Kite_trace.Trace.sink ()));
+  ignore
+    (arm Kite_metrics.Registry.set_default (Kite_metrics.Registry.sink ()));
+  ignore (arm Kite_path.Path.set_default (Kite_path.Path.sink ()));
+  let fsink = arm Kite_flight.Flight.set_default (Kite_flight.Flight.sink ()) in
+  run_under ~full
+    ?progress:(if progress then Some "recording" else None)
+    ~before_teardown:(fun () ->
+      before_teardown (Kite_flight.Flight.flights fsink))
+    id
+    (fun () -> render (Kite_flight.Flight.flights fsink) report)
 
 let flight_cmd =
   let json_arg =
-    let doc = "Emit the recorders (rings, incidents, SLOs) as JSON." in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    json_arg "Emit the recorders (rings, incidents, SLOs) as JSON."
   in
   let run full json id =
     with_flight ~full ~progress:(not json) id (fun fls report ->
@@ -821,8 +772,7 @@ let incident_unmet fls tokens =
 
 let incident_cmd =
   let json_arg =
-    let doc = "Emit the full snapshots as JSON instead of rendered tables." in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    json_arg "Emit the full snapshots as JSON instead of rendered tables."
   in
   let out_arg =
     let doc = "Also write the snapshots as JSON to $(docv)." in
@@ -922,10 +872,7 @@ let attack_cmd =
     in
     Arg.(value & opt (list string) [] & info [ "class" ] ~docv:"SLUGS" ~doc)
   in
-  let json_arg =
-    let doc = "Emit the campaign results as a JSON array." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
+  let json_arg = json_arg "Emit the campaign results as a JSON array." in
   let run seed sweep slugs json =
     let only =
       List.fold_left
@@ -1019,10 +966,7 @@ let swarm_cmd =
     let doc = "Run campaigns for seeds 1..$(docv) instead of one seed." in
     Arg.(value & opt (some int) None & info [ "sweep" ] ~docv:"N" ~doc)
   in
-  let json_arg =
-    let doc = "Emit the campaign results as a JSON array." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
+  let json_arg = json_arg "Emit the campaign results as a JSON array." in
   let run clients profile app flavor impair seed rate sweep json =
     let flavor_v =
       match String.lowercase_ascii flavor with
@@ -1039,8 +983,7 @@ let swarm_cmd =
     | Error e, _ | _, Error e -> `Error (false, e)
     | Ok flavor, Ok impair -> (
         let report = Kite_check.Report.create () in
-        Kite_check.Check.set_default
-          (Some (Kite_check.Check.default_config, report));
+        checker report;
         let seeds =
           match sweep with
           | Some n -> List.init (max 1 n) (fun i -> i + 1)

@@ -1030,43 +1030,7 @@ let abl_wake ~quick =
     "paper §3.2: slow handler paths would block subsequent notifications";
   { exp_id = "abl-threads"; tables = [ t ] }
 
-(* §5.2 motivates fast boots with failure recovery: when a driver domain
-   is restarted, guests lose I/O until it has booted and the frontends
-   have re-paired.  Recovery time = boot replay + the measured
-   frontend/backend handshake on a fresh domain. *)
-let restart ~quick:_ =
-  let handshake_time flavor =
-    let s = Scenario.network ~flavor () in
-    let t = ref 0 in
-    Scenario.when_net_ready s (fun () -> t := Kite_xen.Hypervisor.now s.Scenario.hv);
-    Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 2);
-    !t
-  in
-  let t =
-    Table.create ~title:"Extension: driver-domain restart recovery time"
-      ~columns:
-        [ ("flavor", Table.Left); ("boot", Table.Right);
-          ("reconnect handshake", Table.Right); ("guest I/O outage", Table.Right) ]
-  in
-  List.iter
-    (fun (flavor, boot) ->
-      let hs = handshake_time flavor in
-      Table.add_row t
-        [
-          Scenario.flavor_name flavor;
-          Time.to_string (Boot.total boot);
-          Time.to_string hs;
-          Time.to_string (Boot.total boot + hs);
-        ])
-    [
-      (Scenario.Kite, Boot.kite_network);
-      (Scenario.Linux, Boot.linux_driver_domain);
-    ];
-  Table.note t
-    "restarting a failed Kite domain interrupts guest I/O ~10x more briefly";
-  { exp_id = "restart"; tables = [ t ] }
-
-(* The measured counterpart of [restart]: actually destroy the driver
+(* §5.2 motivates fast boots with failure recovery: destroy the driver
    domain mid-workload and time recovery end to end.  Storage: a stream
    of sequential writes spans the crash; blkfront journals in-flight
    requests and replays them into the rebuilt backend, and a full
@@ -1288,7 +1252,7 @@ let restart_recovery ~quick =
 let scale ~quick =
   let duration = if quick then Time.ms 20 else Time.ms 100 in
   let run nnics =
-    let hv = Kite_xen.Hypervisor.create ~seed:77 () in
+    let hv = Scenario.hypervisor ~seed:77 () in
     let ctx = Kite_drivers.Xen_ctx.create hv in
     let sched = Kite_xen.Hypervisor.sched hv in
     let metrics = Kite_xen.Hypervisor.metrics hv in
@@ -1492,11 +1456,11 @@ let hypercalls ~quick =
    measured ceiling is the driver domain's per-packet CPU work, which
    is what extra queues parallelize. *)
 let mq_run ~duration ~mq nq =
-  let hv = Kite_xen.Hypervisor.create ~seed:910 () in
+  let hv = Scenario.hypervisor ~seed:910 () in
   let ctx = Kite_drivers.Xen_ctx.create hv in
   (* Hand-built testbed, so arm the run-wide sinks explicitly: the
-     flight- and path-overhead bench gates arm layers on exactly this
-     workload.  No-op when nothing is armed. *)
+     flight and path bench gates arm layers on exactly this workload.
+     No-op when nothing is armed. *)
   Scenario.arm ctx "mq-";
   let sched = Kite_xen.Hypervisor.sched hv in
   let metrics = Kite_xen.Hypervisor.metrics hv in
@@ -1578,8 +1542,6 @@ let mq_run ~duration ~mq nq =
   | Some gbps -> gbps
   | None -> failwith "mq_run: measurement window never completed"
 
-let mq_run_gbps ~duration ~mq nq = mq_run ~duration ~mq nq
-
 let mq_scale ~quick =
   let duration = if quick then Time.ms 3 else Time.ms 20 in
   let sweep = [ 1; 2; 4; 8 ] in
@@ -1606,7 +1568,7 @@ let mq_scale ~quick =
 (* The mq machinery must be free when unused: one negotiated queue
    through the multi-queue paths vs the legacy flat single-ring layout,
    identical workload.  Returns (legacy Gbps, 1-queue mq Gbps); the
-   bench gate asserts mq is within 1.1x. *)
+   tier-1 claim test asserts mq is within 1.1x. *)
 let mq_overhead ~quick =
   let duration = if quick then Time.ms 3 else Time.ms 20 in
   let legacy = mq_run ~duration ~mq:false 1 in
@@ -2087,7 +2049,6 @@ let all =
     ("abl-batch", "Ablation: request batching", abl_batching);
     ("abl-indirect", "Ablation: indirect segments", abl_indirect);
     ("abl-threads", "Ablation: threaded handlers", abl_wake);
-    ("restart", "Extension: driver-domain restart recovery", restart);
     ( "restart-recovery",
       "Extension: measured crash/restart recovery",
       restart_recovery );

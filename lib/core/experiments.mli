@@ -86,10 +86,10 @@ val mq_scale : quick:bool -> outcome
 
 val mq_overhead : quick:bool -> float * float
 (** (legacy single-ring Gbps, 1-queue multi-queue Gbps) on an identical
-    workload — the [bench --mq-overhead] gate's raw numbers. *)
+    workload; the tier-1 claim test asserts the two are within 1.1x. *)
 
-val mq_run_gbps : duration:Kite_sim.Time.span -> mq:bool -> int -> float
-(** One multi-queue throughput measurement: [mq_run_gbps ~duration ~mq n]
+val mq_run : duration:Kite_sim.Time.span -> mq:bool -> int -> float
+(** One multi-queue throughput measurement: [mq_run ~duration ~mq n]
     is aggregate guest-Tx Gbps with [n] queues ([mq:false] forces the
     legacy flat layout; [n] must then be 1). *)
 

@@ -33,6 +33,10 @@ let teardowns : (unit -> unit) list ref = ref []
 let schedule_seed : int option ref = ref None
 let set_schedule_seed s = schedule_seed := s
 
+let hypervisor ~seed ?schedule_seed:sseed () =
+  let sseed = match sseed with Some _ -> sseed | None -> !schedule_seed in
+  Hypervisor.create ~seed ?schedule_seed:sseed ()
+
 let teardown_all () =
   let fs = List.rev !teardowns in
   teardowns := [];
@@ -265,9 +269,8 @@ let backend_state_probe ctx ~dev ~path reg =
    flavor's OS profile) and the guest, plus — when a registry is armed —
    the backend-state probe for the [ty] device the testbed registers as
    devid 0. *)
-let machine ~kind ~flavor ~seed ~schedule_seed:sseed ~profile ~dd_name ~ty =
-  let sseed = match sseed with Some _ -> sseed | None -> !schedule_seed in
-  let hv = Hypervisor.create ~seed ?schedule_seed:sseed () in
+let machine ~kind ~flavor ~seed ~schedule_seed ~profile ~dd_name ~ty =
+  let hv = hypervisor ~seed ?schedule_seed () in
   let ctx = Xen_ctx.create hv in
   arm ctx (kind ^ "-" ^ flavor_name flavor ^ "-");
   let profile = Kite_profiles.Os_profile.get profile in

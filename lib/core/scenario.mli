@@ -18,6 +18,12 @@ val set_schedule_seed : int option -> unit
     An explicit [?schedule_seed] argument to {!network}/{!storage}
     overrides it per-testbed. *)
 
+val hypervisor : seed:int -> ?schedule_seed:int -> unit -> Kite_xen.Hypervisor.t
+(** The hypervisor every testbed starts from, hand-built ones included:
+    seeded with [seed], with its schedule explorer armed from
+    [?schedule_seed] when given, else from the run-wide seed
+    ({!set_schedule_seed}). *)
+
 val teardown_all : unit -> unit
 (** Run the orderly teardown of every testbed built so far: quiesce,
     stop backends, shut down frontends.  When a checker was active
